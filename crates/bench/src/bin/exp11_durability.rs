@@ -11,7 +11,7 @@
 
 use blink_bench::{banner, scale};
 use blink_durable::{create_tree, open_tree, DurableConfig, FsyncPolicy};
-use blink_harness::hist::Histogram;
+use blink_harness::hist::HistSnapshot;
 use blink_harness::Table;
 use sagiv_blink::{TreeConfig, UnderflowPolicy};
 use std::path::PathBuf;
@@ -79,7 +79,7 @@ fn main() {
                 let tree = Arc::clone(&tree);
                 handles.push(scope.spawn(move || {
                     let mut s = tree.session();
-                    let mut h = Histogram::new();
+                    let mut h = HistSnapshot::new();
                     for i in 0..per_thread {
                         let key = (t as u64) * 10_000_000 + i;
                         let op0 = Instant::now();
@@ -89,7 +89,7 @@ fn main() {
                     h
                 }));
             }
-            let mut merged = Histogram::new();
+            let mut merged = HistSnapshot::new();
             for h in handles {
                 merged.merge(&h.join().unwrap());
             }

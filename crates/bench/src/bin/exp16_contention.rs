@@ -274,7 +274,6 @@ fn main() {
             .with_k(16)
             .with_heap_shards(8)
             .with_wal_staging(false)
-            .with_adaptive_commit(false)
             .with_optimistic_reads(false);
         let db = Arc::new(Db::open(cfg).unwrap());
         let mut run_cfg = base_cfg(peak, KvMix::PUT_ONLY);

@@ -13,7 +13,7 @@
 
 use blink_baselines::ConcurrentIndex;
 use blink_bench::{banner, lehman_yao, sagiv, scale, topdown};
-use blink_harness::hist::{fmt_ns, Histogram};
+use blink_harness::hist::{fmt_ns, HistSnapshot};
 use blink_harness::runner::{run_workload, RunConfig};
 use blink_harness::Table;
 use blink_pagestore::StatsSnapshot;
@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 /// Combined contended-wait distribution of the paper's queue locks and
 /// the baselines' rw-locks over one measured phase.
-fn wait_hist(d: &StatsSnapshot) -> Histogram {
+fn wait_hist(d: &StatsSnapshot) -> HistSnapshot {
     let mut h = d.hist("lock_wait_hist").cloned().unwrap_or_default();
     if let Some(rw) = d.hist("rw_wait_hist") {
         h.merge(rw);
@@ -32,7 +32,7 @@ fn wait_hist(d: &StatsSnapshot) -> Histogram {
 }
 
 /// `"p50/p99"` cell for a wait histogram ("-" when never contended).
-fn wait_label(h: &Histogram) -> String {
+fn wait_label(h: &HistSnapshot) -> String {
     if h.count() == 0 {
         "-".into()
     } else {

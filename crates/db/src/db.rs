@@ -97,13 +97,6 @@ impl Db {
                     page_size: cfg.page_size,
                     io_delay: None,
                     pool_frames: cfg.pool_frames,
-                    delta_puts: cfg.wal_delta_puts,
-                    // No backend writes to hide — in-memory frames *are*
-                    // the storage.
-                    background_flusher: false,
-                    // Nothing crosses a disk boundary, so there is nothing
-                    // for an image checksum to protect.
-                    page_checksums: false,
                 });
                 let heap = Arc::new(
                     RecordHeap::attach_with_config(Arc::clone(&store), Db::heap_config(&cfg))?.0,
@@ -128,13 +121,7 @@ impl Db {
                     fsync: cfg.fsync,
                     segment_bytes: cfg.segment_bytes,
                     pool_frames: cfg.pool_frames,
-                    delta_puts: cfg.wal_delta_puts,
                     wal_staging: cfg.wal_staging,
-                    adaptive_commit: cfg.adaptive_commit,
-                    wal_pipeline: cfg.wal_pipeline,
-                    background_flusher: cfg.background_flusher,
-                    mmap_backend: cfg.mmap_backend,
-                    page_checksums: cfg.page_checksums,
                 };
                 if dir.join("meta").exists() {
                     Db::open_durable(dcfg, cfg)

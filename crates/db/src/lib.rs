@@ -363,6 +363,82 @@ mod tests {
         let _ = db.store().stats().snapshot().heap_double_frees;
     }
 
+    /// Checksums and write-back follow the backend, not a config knob: the
+    /// page file gets both, memory gets neither.
+    #[test]
+    fn checksums_and_write_back_follow_the_backend() {
+        use blink_pagestore::{verify_page_crc, PAGE_CRC_LEN, PAGE_CRC_OFFSET};
+        use std::time::{Duration, Instant};
+        const FRAMES: usize = 64; // flusher low watermark: 64 / 8 = 8 dirty
+        let crc_field = |b: &[u8]| {
+            u32::from_le_bytes(
+                b[PAGE_CRC_OFFSET..PAGE_CRC_OFFSET + PAGE_CRC_LEN]
+                    .try_into()
+                    .unwrap(),
+            )
+        };
+        let load = |db: &Db| {
+            let mut s = db.session();
+            for i in 0..3_000u64 {
+                s.put(i, &[i as u8; 64]).unwrap();
+            }
+        };
+
+        let mut mem = DbConfig::in_memory().with_k(8);
+        mem.pool_frames = FRAMES;
+        let db = Db::open(mem).unwrap();
+        load(&db);
+        let store = db.store();
+        let pages = store.allocated_pages();
+        assert!(pages.len() > 2 * FRAMES, "the load must overflow the pool");
+        // Reading every page misses the pool for most of them, so their
+        // frames are filled from `MemBackend` images — unstamped ones.
+        for &pid in &pages {
+            assert_eq!(
+                crc_field(&store.read(pid).unwrap()),
+                0,
+                "{pid:?} was stamped"
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20)); // ~10 flusher ticks
+        assert_eq!(
+            store.stats().snapshot().flusher_wakeups,
+            0,
+            "no flusher in memory"
+        );
+        drop(db);
+
+        let dir = tmpdir("backend-policy");
+        let mut durable = DbConfig::durable(&dir).with_k(8);
+        durable.pool_frames = FRAMES;
+        durable.fsync = blink_durable::FsyncPolicy::Never;
+        let db = Db::open(durable).unwrap();
+        load(&db);
+        let t0 = Instant::now();
+        while db.store().stats().snapshot().flusher_wakeups == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "the flusher never woke"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        db.checkpoint().unwrap();
+        db.sync().unwrap();
+        let file = std::fs::read(dir.join("pages.db")).unwrap();
+        let mut stamped = 0;
+        for image in file.chunks(db.store().page_size()) {
+            if image.iter().all(|&b| b == 0) {
+                continue; // allocated or grown, never written: unstamped
+            }
+            assert!(verify_page_crc(image), "a pages.db image fails its CRC");
+            assert_ne!(crc_field(image), 0, "a written pages.db image is unstamped");
+            stamped += 1;
+        }
+        assert!(stamped > 2 * FRAMES, "only {stamped} stamped images");
+        drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn checkpoint_is_durable_only() {
         let db = mem_db(4);

@@ -1,15 +1,10 @@
-//! The file-backed page store backends: one page file, positioned I/O.
+//! The file-backed page store backend: one page file, positioned I/O.
 //!
-//! Pages live at `index * page_size` in `pages.db`. The backends are dumb
-//! byte stores — allocation state is the page store's business and is made
-//! recoverable by the WAL (alloc/free records) plus the checkpoint's free
-//! map, not by anything in this file.
-//!
-//! Two flavors share the same file format: [`FileBackend`] reads with
-//! `pread`, [`MmapBackend`] serves reads from a read-only shared mapping
-//! (zero syscalls on a pool miss) and falls back to `pread` past the
-//! reservation. Writes always go through `pwrite` — `MAP_SHARED` plus the
-//! unified page cache keeps the mapping coherent.
+//! Pages live at `index * page_size` in `pages.db`, read with `pread` and
+//! written with `pwrite`. The backend is a dumb byte store — allocation
+//! state is the page store's business and is made recoverable by the WAL
+//! (alloc/free records) plus the checkpoint's free map, not by anything in
+//! this file.
 //!
 //! All disk effects are gated by the shared [`FaultInjector`]: once an
 //! injected crash trips, every call fails, so nothing after the simulated
@@ -17,7 +12,6 @@
 
 use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
 use crate::wal::io_err;
-use blink_pagestore::mmap::MmapRegion;
 use blink_pagestore::{PageBackend, Result, StoreError};
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -43,7 +37,7 @@ impl std::fmt::Debug for FileBackend {
 }
 
 /// Flips the planned bit (mod buffer size) in a successfully read page —
-/// the [`FaultOutcome::FlipBit`] effect shared by both backends.
+/// the [`FaultOutcome::FlipBit`] effect.
 fn flip_bit(buf: &mut [u8], bit: u64) {
     let b = (bit as usize) % (buf.len() * 8);
     buf[b / 8] ^= 1 << (b % 8);
@@ -146,152 +140,11 @@ impl PageBackend for FileBackend {
             .sync_data()
             .map_err(|e| io_err("sync page file", e))
     }
-}
 
-/// A page file served through a read-only `MAP_SHARED` mapping.
-///
-/// Reads inside the reservation are a bounds-checked memory copy — no
-/// syscall; reads past it (file grew beyond the kernel's granted
-/// reservation, or mapping failed at open) fall back to `pread`. Writes and
-/// growth are identical to [`FileBackend`].
-///
-/// The `SIGBUS`-beyond-EOF contract of [`MmapRegion`] holds here because
-/// every read is capacity-gated by the page store, the capacity gauge is
-/// advanced only *after* the `set_len` in [`MmapBackend::grow`], and the
-/// page file never shrinks.
-pub struct MmapBackend {
-    file: File,
-    page_size: usize,
-    capacity: AtomicUsize,
-    fault: Arc<FaultInjector>,
-    region: Option<MmapRegion>,
-}
-
-impl std::fmt::Debug for MmapBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MmapBackend")
-            .field("page_size", &self.page_size)
-            .field("capacity", &self.capacity.load(Ordering::Relaxed))
-            .field("reservation", &self.region.as_ref().map(MmapRegion::len))
-            .finish()
-    }
-}
-
-impl MmapBackend {
-    /// Opens (or creates) the page file at `path` and maps it. A refused
-    /// mapping is not an error — the backend just serves every read via
-    /// `pread`, exactly like [`FileBackend`].
-    pub fn open(path: &Path, page_size: usize, fault: Arc<FaultInjector>) -> Result<MmapBackend> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(|e| io_err("open page file", e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| io_err("stat page file", e))?
-            .len();
-        if len % page_size as u64 != 0 {
-            return Err(StoreError::corrupt("page file length not page-aligned"));
-        }
-        let region = MmapRegion::map(&file);
-        Ok(MmapBackend {
-            file,
-            page_size,
-            capacity: AtomicUsize::new((len / page_size as u64) as usize),
-            fault,
-            region,
-        })
-    }
-
-    fn offset(&self, index: usize) -> u64 {
-        index as u64 * self.page_size as u64
-    }
-}
-
-impl PageBackend for MmapBackend {
-    fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Acquire)
-    }
-
-    fn grow(&self, new_cap: usize) -> Result<()> {
-        if new_cap <= self.capacity() {
-            return Ok(());
-        }
-        self.fault.check()?;
-        self.file
-            .set_len(new_cap as u64 * self.page_size as u64)
-            .map_err(|e| io_err("grow page file", e))?;
-        // Publish capacity only after the file covers it: a mapped read
-        // gated by the new capacity must never touch beyond EOF.
-        self.capacity.fetch_max(new_cap, Ordering::AcqRel);
-        Ok(())
-    }
-
-    fn read(&self, index: usize, buf: &mut [u8]) -> Result<()> {
-        self.fault.check()?;
-        debug_assert_eq!(buf.len(), self.page_size);
-        let flip = match self.fault.plan_outcome(FaultSite::PageRead) {
-            FaultOutcome::Proceed => None,
-            FaultOutcome::Fail(e) => return Err(e),
-            FaultOutcome::FlipBit(bit) => Some(bit),
-            FaultOutcome::Torn(_) => unreachable!("torn faults never target reads"),
-        };
-        if index >= self.capacity() {
-            return Err(io_err(
-                "read page",
-                std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "page beyond capacity"),
-            ));
-        }
-        let read_ok = if let Some(region) = &self.region {
-            // In-capacity (checked above) means in-file; in-reservation
-            // means the copy cannot fault. Past the reservation fall
-            // through to pread.
-            let off = index * self.page_size;
-            region.copy_to(off, buf)
-        } else {
-            false
-        };
-        if !read_ok {
-            self.file
-                .read_exact_at(buf, self.offset(index))
-                .map_err(|e| io_err("read page", e))?;
-        }
-        if let Some(bit) = flip {
-            flip_bit(buf, bit);
-        }
-        Ok(())
-    }
-
-    fn write(&self, index: usize, data: &[u8]) -> Result<()> {
-        self.fault.check()?;
-        debug_assert_eq!(data.len(), self.page_size);
-        match self.fault.plan_outcome(FaultSite::PageWrite) {
-            FaultOutcome::Proceed => {}
-            FaultOutcome::Fail(e) => return Err(e),
-            FaultOutcome::Torn(k) => {
-                let k = k.min(data.len());
-                let _ = self.file.write_all_at(&data[..k], self.offset(index));
-                return Err(StoreError::Io("injected torn page write".to_string()));
-            }
-            FaultOutcome::FlipBit(_) => unreachable!("bit flips never target writes"),
-        }
-        self.file
-            .write_all_at(data, self.offset(index))
-            .map_err(|e| io_err("write page", e))
-    }
-
-    fn sync(&self) -> Result<()> {
-        self.fault.check()?;
-        self.file
-            .sync_data()
-            .map_err(|e| io_err("sync page file", e))
+    /// A page file can tear and rot: the store stamps and verifies a CRC
+    /// on every image and runs background write-back over it.
+    fn persistent(&self) -> bool {
+        true
     }
 }
 
@@ -343,29 +196,6 @@ mod tests {
             b.read(0, &mut buf).is_err(),
             "a crashed store reads nothing"
         );
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
-    }
-
-    #[test]
-    fn mmap_roundtrip_matches_file_backend() {
-        let path = tmpfile("mmap-roundtrip");
-        let fault = Arc::new(FaultInjector::new());
-        {
-            let b = MmapBackend::open(&path, 64, Arc::clone(&fault)).unwrap();
-            b.grow(4).unwrap();
-            b.write(2, &[0xCD; 64]).unwrap();
-            let mut buf = [0u8; 64];
-            b.read(2, &mut buf).unwrap();
-            assert_eq!(buf, [0xCD; 64], "own writes visible through the map");
-            assert!(b.read(4, &mut buf).is_err(), "beyond capacity is an error");
-            b.sync().unwrap();
-        }
-        // Reopen through the plain backend: same file format.
-        let b = FileBackend::open(&path, 64, fault).unwrap();
-        assert_eq!(b.capacity(), 4);
-        let mut buf = [0u8; 64];
-        b.read(2, &mut buf).unwrap();
-        assert_eq!(buf, [0xCD; 64]);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 

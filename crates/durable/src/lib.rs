@@ -56,12 +56,11 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
-pub mod crc;
 pub mod fault;
 pub mod store;
 pub mod wal;
 
-pub use backend::{FileBackend, MmapBackend};
+pub use backend::FileBackend;
 pub use fault::{
     xorshift64, FaultInjector, FaultKind, FaultOutcome, FaultPlan, FaultSite, PlannedFault,
 };

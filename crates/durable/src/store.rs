@@ -32,10 +32,10 @@
 //! and deletes the segments before the cut. See `checkpoint_begin` for the
 //! correctness argument.
 
-use crate::backend::{FileBackend, MmapBackend};
-use crate::crc::crc32;
+use crate::backend::FileBackend;
 use crate::fault::{FaultInjector, FaultOutcome, FaultSite};
 use crate::wal::{self, io_err, FsyncPolicy, ScanReport, Wal, WalOp};
+use blink_pagestore::crc::crc32;
 use blink_pagestore::{
     page_lsn, set_page_lsn, stamp_page_crc, Journal, PageBackend, PageStore, Result, StoreConfig,
     StoreError, StoreStats,
@@ -51,6 +51,11 @@ const META_VERSION: u32 = 1;
 const META_HEADER: usize = 40;
 
 /// Configuration of a durable store directory.
+///
+/// Page checksums and background write-back are not options: the page
+/// file is a persistent backend (see [`PageBackend::persistent`]), so the
+/// page store stamps and verifies a CRC on every `pages.db` image and runs
+/// a flusher thread whenever the pool has frames.
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
     /// Directory holding the page file, WAL and metadata.
@@ -66,42 +71,12 @@ pub struct DurableConfig {
     /// point, and dirty frames reach `pages.db` on eviction, `sync` or
     /// checkpoint.
     pub pool_frames: usize,
-    /// Log tracked page writes (heap mutations) as coalesced delta
-    /// records instead of full page images. On by default; `false` is the
-    /// write-amplified v1 baseline `exp15` measures against.
-    pub delta_puts: bool,
     /// Per-thread WAL staging: writers serialize records into thread-local
     /// staging slots without the append mutex; the group-commit leader
     /// stitches staged records into LSN order and issues one contiguous
     /// segment write. `false` is the single-mutex append baseline the
     /// exp14 ablation measures against.
     pub wal_staging: bool,
-    /// Adapt the group-commit window to the observed arrival/fsync-time
-    /// distribution instead of always waiting the configured window.
-    /// Only affects [`FsyncPolicy::Group`].
-    pub adaptive_commit: bool,
-    /// Pipelined group commit: the leader fsyncs batch N on a cloned fd
-    /// with no locks held while batch N+1 fills behind it. `false` is the
-    /// stop-and-wait baseline the exp13 ablation measures against. Only
-    /// affects [`FsyncPolicy::Group`].
-    pub wal_pipeline: bool,
-    /// Background write-back: a flusher thread drains dirty frames to
-    /// `pages.db` in clock-hand order between low/high watermarks, so
-    /// foreground evictions find clean victims. `false` keeps all
-    /// write-back on the eviction/sync path.
-    pub background_flusher: bool,
-    /// Serve backend page reads from a read-only `mmap` of `pages.db`
-    /// (zero syscalls on the pool-miss read path) instead of `pread`.
-    /// Defaults from the `BLINK_MMAP=1` environment variable so the whole
-    /// test suite can run against the mapped backend.
-    pub mmap_backend: bool,
-    /// Store-owned per-page CRC32 over `pages.db` images: stamped into
-    /// the reserved header on every backend write, verified on every
-    /// pool-miss read. A mismatch (torn write, bit rot) surfaces as
-    /// `StoreError::ChecksumMismatch` instead of silently corrupt data;
-    /// recovery repairs stamped pages from the WAL base+delta chain. On
-    /// by default; `false` is the exp13 overhead-ablation arm.
-    pub page_checksums: bool,
 }
 
 impl DurableConfig {
@@ -113,13 +88,7 @@ impl DurableConfig {
             fsync: FsyncPolicy::Always,
             segment_bytes: 8 << 20,
             pool_frames: 1024,
-            delta_puts: true,
             wal_staging: true,
-            adaptive_commit: true,
-            wal_pipeline: true,
-            background_flusher: true,
-            mmap_backend: std::env::var("BLINK_MMAP").is_ok_and(|v| v == "1"),
-            page_checksums: true,
         }
     }
 
@@ -137,9 +106,6 @@ impl DurableConfig {
             page_size: self.page_size,
             io_delay: None,
             pool_frames: self.pool_frames,
-            delta_puts: self.delta_puts,
-            background_flusher: self.background_flusher,
-            page_checksums: self.page_checksums,
         }
     }
 
@@ -317,19 +283,11 @@ impl DurableStore {
 
         let fault = Arc::new(FaultInjector::new());
         let stats = Arc::new(StoreStats::default());
-        let backend: Box<dyn PageBackend> = if cfg.mmap_backend {
-            Box::new(MmapBackend::open(
-                &cfg.pages_path(),
-                cfg.page_size,
-                Arc::clone(&fault),
-            )?)
-        } else {
-            Box::new(FileBackend::open(
-                &cfg.pages_path(),
-                cfg.page_size,
-                Arc::clone(&fault),
-            )?)
-        };
+        let backend: Box<dyn PageBackend> = Box::new(FileBackend::open(
+            &cfg.pages_path(),
+            cfg.page_size,
+            Arc::clone(&fault),
+        )?);
         let mut allocated = meta.allocated;
         backend.grow(allocated.len())?;
 
@@ -368,11 +326,6 @@ impl DurableStore {
                 // verified read. Alloc's zero image is left unstamped to
                 // match the live alloc path (an all-zero page reads back
                 // as unstamped).
-                let stamp = |data: &mut [u8]| {
-                    if cfg.page_checksums {
-                        stamp_page_crc(data);
-                    }
-                };
                 match op {
                     WalOp::Alloc(_) => {
                         allocated[idx] = true;
@@ -383,7 +336,7 @@ impl DurableStore {
                         if data.len() != cfg.page_size {
                             return Err(StoreError::corrupt("wal put with wrong page size"));
                         }
-                        stamp(&mut data);
+                        stamp_page_crc(&mut data);
                         backend.write(idx, &data)?;
                     }
                     WalOp::PutBase(_, mut data) => {
@@ -394,7 +347,7 @@ impl DurableStore {
                         // right after appending; mirror it so the replayed
                         // page file carries the same image.
                         set_page_lsn(&mut data, lsn);
-                        stamp(&mut data);
+                        stamp_page_crc(&mut data);
                         backend.write(idx, &data)?;
                     }
                     WalOp::PutDelta(_, _, ranges) => {
@@ -412,7 +365,7 @@ impl DurableStore {
                                 buf[off..off + bytes.len()].copy_from_slice(bytes);
                             }
                             set_page_lsn(&mut buf, lsn);
-                            stamp(&mut buf);
+                            stamp_page_crc(&mut buf);
                             backend.write(idx, &buf)?;
                         } else {
                             StoreStats::bump(&stats.recovery_deltas_skipped);
@@ -437,9 +390,7 @@ impl DurableStore {
                 Arc::clone(&fault),
                 Arc::clone(&stats),
             )?
-            .with_staging(cfg.wal_staging)
-            .with_adaptive_commit(cfg.adaptive_commit)
-            .with_pipeline(cfg.wal_pipeline),
+            .with_staging(cfg.wal_staging),
         );
         let store = PageStore::with_parts(
             cfg.store_config(),

@@ -46,17 +46,20 @@
 //! * [`Always`](FsyncPolicy::Always) — fsync before returning (safest,
 //!   one fsync per record unless concurrent commits batch behind the same
 //!   sync).
-//! * [`Group`](FsyncPolicy::Group) — wait up to `window` for somebody
-//!   else's fsync to cover the record, then fsync everything appended so
-//!   far. Concurrent committers share one fsync — the batch size is
-//!   reported in `StoreStats::wal_group_commit_records`.
+//! * [`Group`](FsyncPolicy::Group) — pipelined group commit: committers
+//!   join the filling batch, and one leader fsyncs it on a cloned fd while
+//!   the next batch fills behind it. A leader with siblings waits at most
+//!   `window` (less when an EWMA tuner sees that batching cannot win)
+//!   before cutting its batch; a solo committer does not wait. Concurrent
+//!   committers share one fsync — the batch size is reported in
+//!   `StoreStats::wal_group_commit_records`.
 //! * [`Never`](FsyncPolicy::Never) — leave it to the OS (fastest, no
 //!   durability promise on power loss; still crash-consistent thanks to
 //!   record checksums).
 
-use crate::crc::Crc32;
 use crate::fault::{FaultInjector, FaultSite};
 use blink_pagestore::audit::{self, Audited, LockClass};
+use blink_pagestore::crc::Crc32;
 use blink_pagestore::{DeltaRange, Journal, PageId, Result, StoreError, StoreHealth, StoreStats};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::Cell;
@@ -355,14 +358,12 @@ pub struct Wal {
     /// behavior, still the right choice for single-threaded embedders and
     /// the knob-off arm of the exp14 ablation).
     staging: Option<StagingState>,
-    /// Adaptive group-commit window sizing; `None` = fixed window.
-    tuner: Option<CommitTuner>,
-    /// Pipelined group commit (`FsyncPolicy::Group` only); `None` = the
-    /// blocking-window path (the knob-off arm of the exp13 ablation).
-    pipeline: Option<PipelineState>,
+    /// Adaptive group-commit window sizing.
+    tuner: CommitTuner,
+    /// Pipelined group commit (`FsyncPolicy::Group` only).
+    pipeline: PipelineState,
     /// Highest LSN known durable.
     flushed: Mutex<u64>,
-    flush_cv: Condvar,
     /// Committers currently inside [`Wal::commit`] under the Group policy.
     /// A committer that finds itself alone skips the batching window and
     /// fsyncs immediately (PostgreSQL-style self-tuning: on an idle system
@@ -434,9 +435,8 @@ impl Wal {
         )
     }
 
-    /// The only place the group-commit window (`Wal::flushed`) is locked:
-    /// registers as `CommitWindow` (a leaf; `commit_grouped` waits on the
-    /// flush condvar through it).
+    /// The only place the durable horizon (`Wal::flushed`) is locked:
+    /// registers as `CommitWindow` (a leaf).
     fn lock_flushed(&self) -> Audited<MutexGuard<'_, u64>> {
         audit::audited(
             LockClass::CommitWindow,
@@ -447,11 +447,11 @@ impl Wal {
 
     /// The only place the pipeline control mutex is locked: registers as
     /// `WalBatch` (a leaf; never held while a batch gate is taken).
-    fn lock_ctl<'a>(&self, ps: &'a PipelineState) -> Audited<MutexGuard<'a, PipelineCtl>> {
+    fn lock_ctl(&self) -> Audited<MutexGuard<'_, PipelineCtl>> {
         audit::audited(
             LockClass::WalBatch,
-            &ps.ctl as *const Mutex<PipelineCtl> as usize,
-            || ps.ctl.lock(),
+            &self.pipeline.ctl as *const Mutex<PipelineCtl> as usize,
+            || self.pipeline.ctl.lock(),
         )
     }
 
@@ -522,10 +522,16 @@ impl Wal {
                 next_lsn,
             }),
             staging: None,
-            tuner: None,
-            pipeline: None,
+            tuner: CommitTuner::new(),
+            pipeline: PipelineState {
+                ctl: Mutex::new(PipelineCtl {
+                    filling: Arc::new(BatchCell::new()),
+                    filling_waiters: 0,
+                    leader_running: false,
+                    durable_lsn: next_lsn.saturating_sub(1),
+                }),
+            },
             flushed: Mutex::new(next_lsn.saturating_sub(1)),
-            flush_cv: Condvar::new(),
             committers: std::sync::atomic::AtomicU64::new(0),
             health: OnceLock::new(),
         })
@@ -576,34 +582,6 @@ impl Wal {
         self
     }
 
-    /// Enables (or disables) adaptive group-commit window sizing. Only
-    /// affects the [`FsyncPolicy::Group`] policy.
-    pub fn with_adaptive_commit(mut self, on: bool) -> Wal {
-        self.tuner = on.then(CommitTuner::new);
-        self
-    }
-
-    /// Enables (or disables) the pipelined group commit. Only affects the
-    /// [`FsyncPolicy::Group`] policy: the fsync leader syncs batch N on a
-    /// cloned fd while batch N+1 fills in the staging slots, and each
-    /// committer waits only on its own batch's durability gate.
-    pub fn with_pipeline(mut self, on: bool) -> Wal {
-        self.pipeline = if on {
-            let durable = *self.flushed.get_mut();
-            Some(PipelineState {
-                ctl: Mutex::new(PipelineCtl {
-                    filling: Arc::new(BatchCell::new()),
-                    filling_waiters: 0,
-                    leader_running: false,
-                    durable_lsn: durable,
-                }),
-            })
-        } else {
-            None
-        };
-        self
-    }
-
     /// The fsync policy this log commits under.
     pub fn policy(&self) -> FsyncPolicy {
         self.policy
@@ -630,9 +608,7 @@ impl Wal {
         // ends at the failed fsync, and anything appended after it could
         // never be honestly acknowledged.
         self.check_poisoned()?;
-        if let Some(t) = &self.tuner {
-            t.note_arrival();
-        }
+        self.tuner.note_arrival();
         match &self.staging {
             Some(st) => self.stage(st, op, pid, data),
             None => self.append(op, pid, data),
@@ -847,83 +823,37 @@ impl Wal {
             FsyncPolicy::Group { window } => {
                 // Self-tuning: only batch when at least one other
                 // committer is in flight to share the fsync with. A solo
-                // committer on an idle system syncs immediately — any
-                // batching wait would be pure added latency. In pipeline
-                // mode even the solo commit goes through the leader
-                // machinery (skipping the cut-steering wait): its fsync
-                // then runs on a cloned fd with no lock held, so later
+                // committer on an idle system skips the cut-steering wait
+                // — any batching wait would be pure added latency — but
+                // still goes through the leader machinery: its fsync then
+                // runs on a cloned fd with no lock held, so later
                 // arrivals keep staging and publishing underneath it.
                 let siblings = self.committers.fetch_add(1, Ordering::AcqRel);
-                let r = if let Some(ps) = &self.pipeline {
-                    if siblings == 0 {
-                        StoreStats::bump(&self.stats.wal_group_solo_commits);
-                    }
-                    self.commit_pipelined(ps, lsn, window)
-                } else {
-                    let window = self.steered_window(window);
-                    if siblings == 0 {
-                        StoreStats::bump(&self.stats.wal_group_solo_commits);
-                        self.sync_to(lsn)
-                    } else if window.is_zero() {
-                        self.sync_to(lsn)
-                    } else {
-                        self.commit_grouped(lsn, window)
-                    }
-                };
+                if siblings == 0 {
+                    StoreStats::bump(&self.stats.wal_group_solo_commits);
+                }
+                let r = self.commit_pipelined(lsn, window);
                 self.committers.fetch_sub(1, Ordering::AcqRel);
                 r
             }
         }
     }
 
-    /// The tuner-adjusted batching window (the configured cap when no
-    /// tuner is attached or it has no signal yet).
+    /// The tuner-adjusted batching window (the configured cap while the
+    /// tuner has no signal yet).
     fn steered_window(&self, configured: Duration) -> Duration {
-        match &self.tuner {
-            Some(t) => {
-                let w = t.effective_window(configured);
-                if w != configured {
-                    StoreStats::bump(&self.stats.wal_commit_window_adapted);
-                }
-                w
-            }
-            None => configured,
+        let w = self.tuner.effective_window(configured);
+        if w != configured {
+            StoreStats::bump(&self.stats.wal_commit_window_adapted);
         }
+        w
     }
 
-    /// The batching half of a Group commit: wait up to `window` for
-    /// somebody else's fsync to cover `lsn`, then fsync everything.
-    fn commit_grouped(&self, lsn: u64, window: Duration) -> Result<()> {
-        let t0 = Instant::now();
-        let deadline = t0 + window;
-        {
-            let mut flushed = self.lock_flushed();
-            while *flushed < lsn {
-                if self
-                    .flush_cv
-                    .wait_until(flushed.guard_mut(), deadline)
-                    .timed_out()
-                {
-                    break;
-                }
-            }
-            if *flushed >= lsn {
-                self.stats
-                    .record_wal_commit_wait(t0.elapsed().as_nanos() as u64);
-                return Ok(());
-            }
-        }
-        let r = self.sync_to(lsn);
-        self.stats
-            .record_wal_commit_wait(t0.elapsed().as_nanos() as u64);
-        r
-    }
-
-    /// The pipelined half of a Group commit. Join the filling batch; if
-    /// no leader is driving, become one. A committer returns only after
+    /// A Group commit, pipelined. Join the filling batch; if no leader is
+    /// driving, become one. A committer returns only after
     /// its own batch's gate reports a completed fsync covering its LSN —
     /// never on a mere notification that *some* fsync ran.
-    fn commit_pipelined(&self, ps: &PipelineState, lsn: u64, window: Duration) -> Result<()> {
+    fn commit_pipelined(&self, lsn: u64, window: Duration) -> Result<()> {
         let t0 = Instant::now();
         {
             // A checkpoint/`sync()` fsync may already cover us.
@@ -933,7 +863,7 @@ impl Wal {
             }
         }
         let (cell, lead) = {
-            let mut ctl = self.lock_ctl(ps);
+            let mut ctl = self.lock_ctl();
             if ctl.durable_lsn >= lsn {
                 return Ok(());
             }
@@ -949,7 +879,7 @@ impl Wal {
             // Errors surface through the gate too (failed=true), so
             // waiters of this batch are never stranded; the leader's own
             // error is re-checked below like everyone else's.
-            let _ = self.run_leader(ps, false, window);
+            let _ = self.run_leader(false, window);
         }
         let failed = loop {
             let mut gate = self.lock_gate(&cell);
@@ -963,7 +893,7 @@ impl Wal {
             // fsync ran, and we cut it now.
             gate.lead_token = false;
             drop(gate);
-            let _ = self.run_leader(ps, true, window);
+            let _ = self.run_leader(true, window);
         };
         self.stats
             .record_wal_commit_wait(t0.elapsed().as_nanos() as u64);
@@ -980,9 +910,9 @@ impl Wal {
     /// and wake the batch. If the next batch already has waiters, leave
     /// the leadership token in its gate — that batch filled during this
     /// fsync, which is the pipeline overlap `wal_pipeline_depth` counts.
-    fn run_leader(&self, ps: &PipelineState, handoff: bool, window: Duration) -> Result<()> {
+    fn run_leader(&self, handoff: bool, window: Duration) -> Result<()> {
         if handoff {
-            let mut ctl = self.lock_ctl(ps);
+            let mut ctl = self.lock_ctl();
             if ctl.leader_running {
                 // A freshly-arrived committer self-elected before we woke:
                 // it will cut our batch; go back to waiting.
@@ -1002,7 +932,7 @@ impl Wal {
             }
         }
         let cell = {
-            let mut ctl = self.lock_ctl(ps);
+            let mut ctl = self.lock_ctl();
             let cell = Arc::clone(&ctl.filling);
             ctl.filling = Arc::new(BatchCell::new());
             ctl.filling_waiters = 0;
@@ -1033,13 +963,11 @@ impl Wal {
                 .map_err(|e| self.poison(io_err("wal fsync", e)))?;
             let ns = t0.elapsed().as_nanos() as u64;
             self.stats.record_fsync(ns);
-            if let Some(t) = &self.tuner {
-                t.note_fsync(ns);
-            }
+            self.tuner.note_fsync(ns);
             Ok(end)
         })();
         let (next_cell, err) = {
-            let mut ctl = self.lock_ctl(ps);
+            let mut ctl = self.lock_ctl();
             let err = match &synced {
                 Ok(end) => {
                     if *end > ctl.durable_lsn {
@@ -1054,17 +982,16 @@ impl Wal {
             (next, err)
         };
         if let Ok(end) = synced {
-            // Keep the blocking-window path's view coherent: `sync_to`
-            // short-circuits on `flushed`, checkpoints read it, and the
-            // batch-size counters stay exact by always accounting against
-            // this one ledger (never against `durable_lsn` too).
+            // Keep `sync_to`'s view coherent: it short-circuits on
+            // `flushed`, checkpoints read it, and the batch-size counters
+            // stay exact by always accounting against this one ledger
+            // (never against `durable_lsn` too).
             let mut flushed = self.lock_flushed();
             if *flushed < end {
                 StoreStats::bump(&self.stats.wal_group_commits);
                 StoreStats::add(&self.stats.wal_group_commit_records, end - *flushed);
                 *flushed = end;
             }
-            self.flush_cv.notify_all();
         }
         {
             let mut gate = self.lock_gate(&cell);
@@ -1115,14 +1042,11 @@ impl Wal {
             .map_err(|e| self.poison(io_err("wal fsync", e)))?;
         let ns = t0.elapsed().as_nanos() as u64;
         self.stats.record_fsync(ns);
-        if let Some(t) = &self.tuner {
-            t.note_fsync(ns);
-        }
+        self.tuner.note_fsync(ns);
         let target = inner.next_lsn - 1;
         StoreStats::bump(&self.stats.wal_group_commits);
         StoreStats::add(&self.stats.wal_group_commit_records, target - *flushed);
         *flushed = target;
-        self.flush_cv.notify_all();
         Ok(())
     }
 }
@@ -1709,9 +1633,9 @@ mod tests {
 
     #[test]
     fn adaptive_solo_committer_shrinks_the_window() {
-        // With adaptive sizing on, a lone writer's sparse arrivals teach
-        // the tuner to stop waiting: the adapted-window counter must fire
-        // once there is signal, and commits stay fast despite a huge cap.
+        // A lone writer's sparse arrivals teach the tuner to stop waiting:
+        // the adapted-window counter must fire once there is signal, and
+        // commits stay fast despite a huge cap.
         let dir = tmpdir("adaptive");
         let stats = Arc::new(StoreStats::default());
         let w = Wal::open(
@@ -1725,13 +1649,16 @@ mod tests {
             Arc::new(FaultInjector::new()),
             Arc::clone(&stats),
         )
-        .unwrap()
-        .with_adaptive_commit(true);
+        .unwrap();
         // Seed the tuner: arrivals far sparser than fsyncs.
-        if let Some(t) = &w.tuner {
-            t.arrival_ewma_ns.store(5_000_000, Ordering::Relaxed);
-            t.fsync_ewma_ns.store(50_000, Ordering::Relaxed);
-        }
+        w.tuner.arrival_ewma_ns.store(5_000_000, Ordering::Relaxed);
+        w.tuner.fsync_ewma_ns.store(50_000, Ordering::Relaxed);
+        // A truly solo committer never consults the tuner (it skips the
+        // window outright, see `solo_group_committer_skips_the_batching_
+        // window`). Hold one phantom committer in flight so each commit
+        // leads a batch with a sibling and must ask the tuner how long to
+        // wait for it — untuned, that wait is the full 250ms cap.
+        w.committers.fetch_add(1, Ordering::AcqRel);
         let t0 = Instant::now();
         for i in 0..4 {
             w.log_put(pid(1 + i), &[1; 8]).unwrap();
@@ -1840,8 +1767,7 @@ mod tests {
                 Arc::clone(&stats),
             )
             .unwrap()
-            .with_staging(true)
-            .with_pipeline(true),
+            .with_staging(true),
         );
         fault.set_fsync_delay(Duration::from_millis(2));
         // A hand-off needs a successor thread to arrive while the leader
@@ -1912,8 +1838,7 @@ mod tests {
                 Arc::new(StoreStats::default()),
             )
             .unwrap()
-            .with_staging(true)
-            .with_pipeline(true),
+            .with_staging(true),
         );
         w.log_put(pid(1), &[1; 8]).unwrap();
         fault.crash_after_wal_records(0);

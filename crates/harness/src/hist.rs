@@ -1,13 +1,9 @@
-//! The harness latency histogram — now the shared pagestore type.
+//! The harness latency histogram: the shared pagestore type.
 //!
-//! The original log-bucketed `Histogram` here and the store's fixed-bucket
-//! heap-wait histogram were unified into one implementation,
-//! [`blink_pagestore::hist`]: `HistSnapshot` is the single-threaded
-//! recording/merging form (exactly the old `Histogram` API — `record`,
-//! `merge`, `percentile`, `mean`, `min`/`max`), and `WaitHist` is its
-//! lock-free atomic sibling the store's hot paths record into. Keeping the
-//! `Histogram` name as an alias preserves every harness and bench call
-//! site.
+//! [`blink_pagestore::hist`] holds the one histogram implementation:
+//! `HistSnapshot` is the single-threaded recording/merging form (`record`,
+//! `merge`, `percentile`, `mean`, `min`/`max`) the harness and benches
+//! record into, and `WaitHist` is its lock-free atomic sibling the store's
+//! hot paths record into.
 
-pub use blink_pagestore::hist::HistSnapshot as Histogram;
-pub use blink_pagestore::hist::{fmt_ns, WaitHist};
+pub use blink_pagestore::hist::{fmt_ns, HistSnapshot, WaitHist};

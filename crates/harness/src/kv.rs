@@ -5,7 +5,7 @@
 //! stack — byte values through the record heap, streaming range scans
 //! through the leaf-link cursor — which is what `exp13_kv` measures.
 
-use crate::hist::Histogram;
+use crate::hist::HistSnapshot;
 use blink_db::Db;
 use blink_pagestore::{SessionStats, StatsSnapshot};
 use blink_workload::{KeyDist, KeyPicker};
@@ -134,10 +134,10 @@ pub struct KvRunResult {
     /// Operations that returned an error.
     pub errors: u64,
     /// Latency per operation kind (ns).
-    pub get_lat: Histogram,
-    pub put_lat: Histogram,
-    pub delete_lat: Histogram,
-    pub scan_lat: Histogram,
+    pub get_lat: HistSnapshot,
+    pub put_lat: HistSnapshot,
+    pub delete_lat: HistSnapshot,
+    pub scan_lat: HistSnapshot,
     /// Pairs and value bytes streamed by scans.
     pub scanned_pairs: u64,
     pub scanned_bytes: u64,
@@ -243,10 +243,10 @@ pub fn run_kv(db: &Arc<Db>, cfg: &KvRunConfig) -> KvRunResult {
         wall: Duration::ZERO,
         total_ops: 0,
         errors: 0,
-        get_lat: Histogram::new(),
-        put_lat: Histogram::new(),
-        delete_lat: Histogram::new(),
-        scan_lat: Histogram::new(),
+        get_lat: HistSnapshot::new(),
+        put_lat: HistSnapshot::new(),
+        delete_lat: HistSnapshot::new(),
+        scan_lat: HistSnapshot::new(),
         scanned_pairs: 0,
         scanned_bytes: 0,
         sessions: SessionStats::default(),
@@ -270,10 +270,10 @@ pub fn run_kv(db: &Arc<Db>, cfg: &KvRunConfig) -> KvRunResult {
                 let mut picker =
                     KeyPicker::new(cfg.key_space, cfg.dist.clone(), cfg.seed + t as u64);
                 let mut rng = StdRng::seed_from_u64(cfg.seed ^ (t as u64) << 32);
-                let mut get_lat = Histogram::new();
-                let mut put_lat = Histogram::new();
-                let mut delete_lat = Histogram::new();
-                let mut scan_lat = Histogram::new();
+                let mut get_lat = HistSnapshot::new();
+                let mut put_lat = HistSnapshot::new();
+                let mut delete_lat = HistSnapshot::new();
+                let mut scan_lat = HistSnapshot::new();
                 let (mut pairs, mut bytes) = (0u64, 0u64);
                 let (mut errors, mut ops) = (0u64, 0u64);
                 barrier.wait();

@@ -1,6 +1,6 @@
 //! Multi-threaded workload runner over any [`ConcurrentIndex`].
 
-use crate::hist::Histogram;
+use crate::hist::HistSnapshot;
 use crate::linearize::{Event, EventResult};
 use blink_baselines::ConcurrentIndex;
 use blink_pagestore::stats::StatsSnapshot;
@@ -58,9 +58,9 @@ pub struct RunResult {
     /// Operations that returned an error (restart-budget exhaustion).
     pub errors: u64,
     /// Latency per operation kind (ns).
-    pub search_lat: Histogram,
-    pub insert_lat: Histogram,
-    pub delete_lat: Histogram,
+    pub search_lat: HistSnapshot,
+    pub insert_lat: HistSnapshot,
+    pub delete_lat: HistSnapshot,
     /// Merged per-process stats (locks, restarts, link follows).
     pub sessions: SessionStats,
     /// Store counter delta over the measured phase.
@@ -146,9 +146,9 @@ fn run_measured(
         wall: Duration::ZERO,
         total_ops: 0,
         errors: 0,
-        search_lat: Histogram::new(),
-        insert_lat: Histogram::new(),
-        delete_lat: Histogram::new(),
+        search_lat: HistSnapshot::new(),
+        insert_lat: HistSnapshot::new(),
+        delete_lat: HistSnapshot::new(),
         sessions: SessionStats::default(),
         store_delta: StatsSnapshot::default(),
     };
@@ -169,9 +169,9 @@ fn run_measured(
                     cfg.mix,
                     cfg.seed + t as u64,
                 );
-                let mut search = Histogram::new();
-                let mut insert = Histogram::new();
-                let mut delete = Histogram::new();
+                let mut search = HistSnapshot::new();
+                let mut insert = HistSnapshot::new();
+                let mut delete = HistSnapshot::new();
                 let mut events = Vec::new();
                 let mut errors = 0u64;
                 let mut ops = 0u64;

@@ -39,6 +39,15 @@ pub trait PageBackend: Send + Sync + fmt::Debug {
 
     /// Flushes buffered writes to stable storage (no-op for memory).
     fn sync(&self) -> Result<()>;
+
+    /// Whether page images outlive the process on a medium that can tear
+    /// or rot. The store derives two policies from it: a persistent
+    /// backend gets per-page CRC32 stamps (verified on every read) and a
+    /// background write-back thread; a volatile one gets neither, since
+    /// its pages cannot rot and writing them back hides no I/O.
+    fn persistent(&self) -> bool {
+        false
+    }
 }
 
 /// The in-memory backend: a growable array of page buffers.

@@ -119,7 +119,7 @@ impl FlusherHandle {
 }
 
 /// Spawns the write-back thread for `store`. Called once from
-/// `PageStore::with_parts` when `StoreConfig::background_flusher` is set.
+/// `PageStore::with_parts` for a persistent backend with a buffer pool.
 pub(crate) fn spawn(store: &Arc<PageStore>) -> FlusherHandle {
     let shared = Arc::new(FlusherShared::default());
     let weak = Arc::downgrade(store);

@@ -419,9 +419,10 @@ impl RecordHeap {
         let mut inv = HeapInventory::default();
         let mut max_gen = 0u32;
         for pid in self.store.allocated_pages() {
-            let Ok(page) = self.store.read(pid) else {
-                continue;
-            };
+            // The store is quiescent here, so a failed read is real damage
+            // (I/O, checksum), never a race: dropping the page would hide
+            // its records from repair and reconciliation.
+            let page = self.store.read(pid)?;
             let b = page.bytes();
             if !is_heap_page(b) {
                 continue;

@@ -46,7 +46,6 @@ pub mod health;
 pub mod heap;
 pub mod hist;
 pub mod journal;
-pub mod mmap;
 pub mod page;
 pub mod pool;
 pub mod reclaim;

@@ -23,8 +23,9 @@ pub const PAGE_LSN_LEN: usize = 8;
 /// Byte offset of the **per-page CRC32** field, right after the LSN.
 ///
 /// The checksum is *store-owned*: page layouts never compute or read it.
-/// It is stamped over the whole image (with this field zeroed) at every
-/// backend write site and verified on every backend read, so a torn
+/// On a persistent backend (see [`crate::PageBackend::persistent`]) it is
+/// stamped over the whole image (with this field zeroed) at every backend
+/// write site and verified on every backend read, so a torn
 /// page-file write or a flipped bit on a cold page surfaces as a typed
 /// [`crate::StoreError::ChecksumMismatch`] instead of silently decoding
 /// garbage.

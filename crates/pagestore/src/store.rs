@@ -68,33 +68,10 @@ pub struct StoreConfig {
     pub io_delay: Option<Duration>,
     /// Buffer-pool size in frames (CLOCK replacement over pinned frames).
     /// `0` disables the pool entirely: every access copies through the
-    /// backend, which is the literal §2.2 model.
+    /// backend, which is the literal §2.2 model, and every journaled
+    /// write logs a full page image (delta records need the frame write
+    /// latch to serialize same-page writers).
     pub pool_frames: usize,
-    /// Log tracked page writes as coalesced **delta records** when the
-    /// journal supports them (see [`crate::journal::Journal::log_put_delta`]).
-    /// `false` forces every put to a full page image — the write-amplified
-    /// baseline `exp15` measures against. Deltas require the buffer pool:
-    /// bypass commits (`pool_frames: 0`, or every frame pinned) always log
-    /// full images, since only the frame write latch serializes same-page
-    /// writers tightly enough for delta chains to be replay-exact.
-    pub delta_puts: bool,
-    /// Run a dedicated background thread that writes dirty frames back to
-    /// the backend in clock-hand order whenever the dirty-page gauge rises
-    /// above a low watermark, so foreground evictions almost never pay a
-    /// `PageBackend::write`. Writers stall briefly (bounded) only above a
-    /// high watermark. Requires a pool (`pool_frames > 0`); off by default
-    /// — in-memory stores have nothing to gain from it.
-    pub background_flusher: bool,
-    /// Maintain a store-owned CRC32 over every page image the backend
-    /// receives — stamped into the reserved header field at
-    /// [`crate::page::PAGE_CRC_OFFSET`] on write-back and verified on
-    /// every backend read — so torn page-file writes and bit rot surface
-    /// as a typed [`StoreError::ChecksumMismatch`] instead of silently
-    /// decoding garbage. Frames never carry a live checksum: the stamp
-    /// goes into a scratch copy on the way out, and an all-zero
-    /// (never-written) page verifies as unstamped. Off by default — an
-    /// in-memory backend cannot rot; the durable layer turns it on.
-    pub page_checksums: bool,
 }
 
 impl Default for StoreConfig {
@@ -103,9 +80,6 @@ impl Default for StoreConfig {
             page_size: 4096,
             io_delay: None,
             pool_frames: 1024,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         }
     }
 }
@@ -588,7 +562,7 @@ impl PageWrite<'_> {
             // writers can interleave — last-writer-wins is only sound for
             // whole images, never for merged delta chains. (Delta logging
             // therefore needs the buffer pool; `pool_frames: 0` stores
-            // behave exactly like `delta_puts: false`.)
+            // log every write as a v1 full image.)
             WriteInner::Owned(page) => store.apply_full_write(pid, page.bytes()),
         }
     }
@@ -627,6 +601,10 @@ impl Drop for PageWrite<'_> {
 pub struct PageStore {
     cfg: StoreConfig,
     backend: Box<dyn PageBackend>,
+    /// `backend.persistent()`, read once: selects per-page CRC stamping
+    /// and verification in the backend funnels and the background
+    /// flusher.
+    persistent: bool,
     journal: Option<Arc<dyn Journal>>,
     slots: RwLock<Vec<Arc<Slot>>>,
     free: Mutex<Vec<PageId>>,
@@ -641,7 +619,7 @@ pub struct PageStore {
     /// `Slot::base_epoch` lags this must log a full image before any delta.
     epoch: AtomicU64,
     /// The background write-back thread (see [`crate::flusher`]), spawned
-    /// after the `Arc` exists when `StoreConfig::background_flusher` is on.
+    /// after the `Arc` exists for a persistent backend with a pool.
     flusher: OnceLock<crate::flusher::FlusherHandle>,
 }
 
@@ -684,6 +662,7 @@ impl PageStore {
             pool: BufferPool::new(cfg.pool_frames, cfg.page_size, Arc::clone(&stats)),
             zero: vec![0u8; cfg.page_size].into_boxed_slice(),
             cfg,
+            persistent: backend.persistent(),
             backend,
             journal,
             slots: RwLock::new(slots),
@@ -693,7 +672,7 @@ impl PageStore {
             epoch: AtomicU64::new(1),
             flusher: OnceLock::new(),
         });
-        if store.cfg.background_flusher && store.pool.capacity() > 0 {
+        if store.persistent && store.pool.capacity() > 0 {
             let _ = store.flusher.set(crate::flusher::spawn(&store));
         }
         Ok(store)
@@ -1081,28 +1060,27 @@ impl PageStore {
     }
 
     /// The single funnel for backend page reads: retries transient errors
-    /// and (with `StoreConfig::page_checksums`) verifies the page's stored
-    /// CRC, turning torn writes and bit rot into a typed
+    /// and (for a persistent backend) verifies the page's stored CRC, turning torn writes and bit rot into a typed
     /// [`StoreError::ChecksumMismatch`]. Every pool miss, bypass read and
     /// write-intent load goes through here.
     fn backend_read_page(&self, pid: PageId, buf: &mut [u8]) -> Result<()> {
         self.retry_io(|| self.backend.read(pid.index(), buf))?;
-        if self.cfg.page_checksums && !verify_page_crc(buf) {
+        if self.persistent && !verify_page_crc(buf) {
             StoreStats::bump(&self.stats.checksum_failures);
             return Err(StoreError::ChecksumMismatch { page: pid });
         }
         Ok(())
     }
 
-    /// The single funnel for backend page writes: with
-    /// `StoreConfig::page_checksums` the CRC is stamped into a scratch
-    /// copy (frames and caller buffers never carry a live checksum — the
-    /// stored CRC is purely a backend-image property), and transient
+    /// The single funnel for backend page writes: for a persistent
+    /// backend the CRC is stamped into a scratch copy (frames and caller
+    /// buffers never carry a live checksum — the stored CRC is purely a
+    /// backend-image property), and transient
     /// errors are retried. Every write-back, bypass write and checkpoint
     /// sweep goes through here; alloc's zero-fill skips it deliberately
     /// (an all-zero page verifies as unstamped).
     fn backend_write_page(&self, pid: PageId, data: &[u8]) -> Result<()> {
-        if self.cfg.page_checksums {
+        if self.persistent {
             let mut scratch = data.to_vec();
             stamp_page_crc(&mut scratch);
             self.retry_io(|| self.backend.write(pid.index(), &scratch))
@@ -1168,7 +1146,7 @@ impl PageStore {
     /// Tracked writes (`ranges: Some`) are logged as a coalesced v2
     /// **delta record** when every gate passes:
     ///
-    /// * the journal speaks v2 and `StoreConfig::delta_puts` is on;
+    /// * the journal speaks v2;
     /// * the page has a base record in the current checkpoint epoch
     ///   (first touch after a checkpoint or open logs a full image, which
     ///   bounds recovery and repairs torn page-file writes);
@@ -1189,8 +1167,7 @@ impl PageStore {
         };
         // Delta records encode offsets as u16 and need room for the page
         // LSN field, so very small and very large pages stay on v1.
-        let v2 = self.cfg.delta_puts
-            && j.supports_deltas()
+        let v2 = j.supports_deltas()
             && self.cfg.page_size <= 1 << 16
             && self.cfg.page_size >= PAGE_LSN_OFFSET + PAGE_LSN_LEN;
         let lsn = match ranges {
@@ -2195,9 +2172,6 @@ mod tests {
             page_size: 64,
             io_delay: Some(Duration::from_micros(200)),
             pool_frames: 0,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         });
         let pid = store.alloc().unwrap();
         let t0 = Instant::now();
@@ -2261,9 +2235,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: Some(Duration::from_micros(300)),
             pool_frames: 8,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         });
         let pid = store.alloc().unwrap();
         // First get: miss (pays the delay and loads the frame); the rest hit.
@@ -2292,9 +2263,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         });
         let pid = store.alloc().unwrap();
         let mut p = Page::zeroed(64);
@@ -2324,9 +2292,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 1,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         });
         let a = store.alloc().unwrap();
         let b = store.alloc().unwrap();
@@ -2349,9 +2314,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 2,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         });
         let a = store.alloc().unwrap();
         let b = store.alloc().unwrap();
@@ -2378,9 +2340,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         });
         let pid = store.alloc().unwrap();
         store.get(pid).unwrap(); // resident now
@@ -2440,9 +2399,6 @@ mod pool_tests {
                 page_size: 64,
                 io_delay: None,
                 pool_frames: 1,
-                delta_puts: true,
-                background_flusher: false,
-                page_checksums: false,
             },
             backend,
             None,
@@ -2477,9 +2433,6 @@ mod pool_tests {
             page_size: 64,
             io_delay: None,
             pool_frames: 4,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         });
         let pids: Vec<_> = (0..8).map(|_| store.alloc().unwrap()).collect();
         for pid in &pids {
@@ -2749,11 +2702,14 @@ mod journal_tests {
     }
 
     #[test]
-    fn delta_puts_config_off_forces_v1_full_images() {
+    fn bypass_write_logs_a_v1_full_image_not_a_delta() {
+        // Without a pool the tracked write commits from an owned staging
+        // buffer, which no frame latch serializes: it must log the whole
+        // image even though the journal speaks v2.
         let j = Arc::new(DeltaMockJournal::default());
         let store = PageStore::with_parts(
             StoreConfig {
-                delta_puts: false,
+                pool_frames: 0,
                 ..StoreConfig::with_page_size(256)
             },
             Box::new(crate::backend::MemBackend::new(256)),

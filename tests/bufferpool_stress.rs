@@ -42,9 +42,6 @@ fn guards_never_observe_torn_pages_under_eviction_pressure() {
         page_size,
         io_delay: None,
         pool_frames: 8,
-        delta_puts: true,
-        background_flusher: false,
-        page_checksums: false,
     });
     let pages: Vec<PageId> = (0..64).map(|_| store.alloc().unwrap()).collect();
     for &pid in &pages {
@@ -107,9 +104,6 @@ fn pinned_frames_are_never_evicted() {
         page_size,
         io_delay: None,
         pool_frames: 4,
-        delta_puts: true,
-        background_flusher: false,
-        page_checksums: false,
     });
     let hot = store.alloc().unwrap();
     store.put(hot, &patterned(page_size, 0xAB)).unwrap();
@@ -161,9 +155,6 @@ fn exhausted_pool_bypasses_instead_of_evicting() {
         page_size: 128,
         io_delay: None,
         pool_frames: 2,
-        delta_puts: true,
-        background_flusher: false,
-        page_checksums: false,
     });
     let a = store.alloc().unwrap();
     let b = store.alloc().unwrap();
@@ -276,9 +267,6 @@ fn dirty_victims_hit_the_wal_before_the_backend() {
             page_size,
             io_delay: None,
             pool_frames: 4,
-            delta_puts: true,
-            background_flusher: false,
-            page_checksums: false,
         },
         Box::new(ProbedBackend {
             inner: MemBackend::new(page_size),

@@ -22,7 +22,7 @@
 use sagiv_blink_repro::blink::TreeError;
 use sagiv_blink_repro::db::{Db, DbConfig};
 use sagiv_blink_repro::durable::{xorshift64, FaultKind, FaultPlan, FaultSite, FsyncPolicy};
-use sagiv_blink_repro::pagestore::StoreError;
+use sagiv_blink_repro::pagestore::{is_heap_page, StoreError};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -441,6 +441,46 @@ fn bit_flip_on_a_cold_page_surfaces_as_checksum_mismatch() {
     drop(s);
     db.verify().unwrap().assert_ok();
     drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Damage to a heap page that only the page file holds (the checkpoint
+/// cut the log, so replay cannot repair it) fails the reopen with the
+/// typed checksum error for that page. The heap's attach sweep must not
+/// skip the unreadable page: that would hide its records from repair and
+/// reconciliation and report a misleading dangling record id instead.
+#[test]
+fn corrupt_heap_page_fails_open_with_its_checksum_error() {
+    let dir = tmpdir("heapflip");
+    {
+        let db = Db::open(DbConfig::durable(&dir)).unwrap();
+        let mut s = db.session();
+        for i in 0..KEYS {
+            s.put(i, &[0x5A; 32]).unwrap();
+        }
+        drop(s);
+        db.checkpoint().unwrap();
+        db.sync().unwrap();
+    }
+    let path = dir.join("pages.db");
+    let mut file = std::fs::read(&path).unwrap();
+    let page_size = DbConfig::durable(&dir).page_size;
+    let idx = file
+        .chunks(page_size)
+        .position(is_heap_page)
+        .expect("the load wrote a heap page");
+    file[idx * page_size + page_size / 2] ^= 0x01;
+    std::fs::write(&path, &file).unwrap();
+    let Err(err) = Db::open(DbConfig::durable(&dir)) else {
+        panic!("a corrupt heap page must fail the open");
+    };
+    assert!(
+        matches!(
+            store_err(&err),
+            Some(StoreError::ChecksumMismatch { page }) if page.to_raw() as usize == idx + 1
+        ),
+        "expected ChecksumMismatch for heap page {idx}, got {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
