@@ -80,15 +80,30 @@ const WRAPPER_RULES: &[WrapperRule] = &[
     },
     WrapperRule {
         file: "store.rs",
-        needles: &[".allocated.lock(", ".allocated.try_lock("],
+        needles: &[".latch.lock(", ".latch.try_lock("],
         allowed_fns: &["latch"],
         use_instead: "Slot::latch (SlotLatch)",
     },
+    // The allocation flag is read lock-free by pool hits, so every write
+    // must happen under the slot latch: only the latch guard writes it.
     WrapperRule {
         file: "store.rs",
-        needles: &[".slots.read(", ".slots.write("],
-        allowed_fns: &["slots_read", "slots_write"],
-        use_instead: "PageStore::slots_read / slots_write (SlotsMap)",
+        needles: &[
+            ".allocated.store(",
+            ".allocated.swap(",
+            ".allocated.fetch_",
+            ".allocated.compare_exchange",
+        ],
+        allowed_fns: &["set_allocated"],
+        use_instead: "SlotGuard::set_allocated (under SlotLatch)",
+    },
+    // Slot lookups are lock-free; the growth mutex is taken only by the
+    // growth function itself.
+    WrapperRule {
+        file: "slots.rs",
+        needles: &[".grow.lock(", ".grow.try_lock("],
+        allowed_fns: &["grow_with"],
+        use_instead: "SlotTable::grow_with (SlotsMap)",
     },
     WrapperRule {
         file: "store.rs",
@@ -531,6 +546,38 @@ mod tests {
         let ok = lint_source(
             "crates/pagestore/src/flusher.rs",
             "fn lock_ctl(&self) {\n    let g = self.ctl.lock();\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn slot_table_growth_mutex_only_inside_the_growth_function() {
+        let v = lint_source(
+            "crates/pagestore/src/slots.rs",
+            "fn get(&self, i: usize) {\n    let g = self.grow.lock();\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "wrapper-only");
+        let ok = lint_source(
+            "crates/pagestore/src/slots.rs",
+            "fn grow_with(&self) {\n    let g = audited(|| self.grow.lock());\n}\n",
+        );
+        assert!(ok.is_empty(), "{ok:?}");
+    }
+
+    #[test]
+    fn allocation_flag_is_written_only_by_the_latch_guard() {
+        let v = lint_source(
+            "crates/pagestore/src/store.rs",
+            "fn free(&self) {\n    slot.allocated.store(false, Ordering::Release);\n}\n",
+        );
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "wrapper-only");
+        let ok = lint_source(
+            "crates/pagestore/src/store.rs",
+            "fn set_allocated(&mut self, a: bool) {\n    \
+             self.slot.allocated.store(a, Ordering::Release);\n}\n\
+             fn is_allocated(&self) -> bool {\n    self.allocated.load(Ordering::Acquire)\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }

@@ -24,6 +24,14 @@
 //! `followval(j)` equals the high value of the child `P[j]`, and `(P[j],
 //! followval(j))` is exactly the "(p, v)" pair §5.4's compression protocol
 //! looks for in the parent.
+//!
+//! A node page is read two ways. [`NodeView`] borrows the page bytes,
+//! validates the header once and answers routing questions (`next`,
+//! `leaf_get`, `wrong_node`) by binary search over the pairs in place —
+//! what a descent needs at every level, with no allocation. [`Node`] is
+//! the owned, decoded form the updaters modify and re-encode;
+//! [`Node::decode`] is `NodeView::parse(..)?.to_node()`, so both share one
+//! header validator.
 
 use crate::error::{Result, TreeError};
 use crate::key::{Bound, Key};
@@ -410,8 +418,46 @@ impl Node {
 
     /// Deserializes a page image (an owned [`Page`] or a borrowed page
     /// guard — both deref to `[u8]`). Fails on structural corruption (bad
-    /// magic, bad tags, counts that exceed the page).
+    /// magic, bad tags, counts that exceed the page) — exactly what
+    /// [`NodeView::parse`] rejects.
     pub fn decode(b: &[u8]) -> Result<Node> {
+        Ok(NodeView::parse(b)?.to_node())
+    }
+}
+
+/// A node read in place: the header fields parsed and validated once, the
+/// pairs left in the page bytes and read on demand. Routing over a view
+/// agrees with routing over the decoded [`Node`] (`next`, `child_index`,
+/// `leaf_get`, `wrong_node`), without building the pair vector.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'a> {
+    b: &'a [u8],
+    count: usize,
+    pub kind: NodeKind,
+    pub is_root: bool,
+    pub deleted: bool,
+    /// Level: leaves are 0.
+    pub level: u8,
+    pub low: Bound,
+    pub high: Bound,
+    pub link: Option<PageId>,
+    pub merge_target: Option<PageId>,
+    pub p0: Option<PageId>,
+}
+
+fn read_u64(b: &[u8], off: usize) -> u64 {
+    u64::from_le_bytes(b[off..off + 8].try_into().expect("8-byte slice"))
+}
+
+fn read_u32(b: &[u8], off: usize) -> u32 {
+    u32::from_le_bytes(b[off..off + 4].try_into().expect("4-byte slice"))
+}
+
+impl<'a> NodeView<'a> {
+    /// Validates a node page's header — the single validator behind both
+    /// views and [`Node::decode`]. Never panics: arbitrary bytes yield a
+    /// view or `TreeError::Corrupt`.
+    pub fn parse(b: &'a [u8]) -> Result<NodeView<'a>> {
         if b.len() < HEADER_LEN {
             return Err(TreeError::Corrupt("page shorter than node header"));
         }
@@ -424,40 +470,112 @@ impl Node {
         } else {
             NodeKind::Internal
         };
-        let level = b[3];
         let count = u16::from_le_bytes([b[4], b[5]]) as usize;
         if count > max_pairs_for_page(b.len()) {
             return Err(TreeError::Corrupt("pair count exceeds page capacity"));
         }
-        let low = Bound::decode(b[6], u64::from_le_bytes(b[24..32].try_into().unwrap()))
-            .ok_or(TreeError::Corrupt("bad low-bound tag"))?;
-        let high = Bound::decode(b[7], u64::from_le_bytes(b[32..40].try_into().unwrap()))
-            .ok_or(TreeError::Corrupt("bad high-bound tag"))?;
-        let link = PageId::from_raw(u32::from_le_bytes(b[8..12].try_into().unwrap()));
-        let merge_target = PageId::from_raw(u32::from_le_bytes(b[40..44].try_into().unwrap()));
-        let p0 = PageId::from_raw(u32::from_le_bytes(b[44..48].try_into().unwrap()));
+        let low =
+            Bound::decode(b[6], read_u64(b, 24)).ok_or(TreeError::Corrupt("bad low-bound tag"))?;
+        let high =
+            Bound::decode(b[7], read_u64(b, 32)).ok_or(TreeError::Corrupt("bad high-bound tag"))?;
+        let p0 = PageId::from_raw(read_u32(b, 44));
         if kind == NodeKind::Internal && p0.is_none() && count > 0 {
             return Err(TreeError::Corrupt("internal node with pairs but no p0"));
         }
-        let mut entries = Vec::with_capacity(count);
-        for i in 0..count {
-            let off = HEADER_LEN + i * PAIR_LEN;
-            let key = u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
-            let val = u64::from_le_bytes(b[off + 8..off + 16].try_into().unwrap());
-            entries.push((key, val));
-        }
-        Ok(Node {
+        Ok(NodeView {
+            b,
+            count,
             kind,
             is_root: flags & 2 != 0,
             deleted: flags & 4 != 0,
-            level,
+            level: b[3],
             low,
             high,
-            link,
-            merge_target,
+            link: PageId::from_raw(read_u32(b, 8)),
+            merge_target: PageId::from_raw(read_u32(b, 40)),
             p0,
-            entries,
         })
+    }
+
+    /// Number of pairs `i`.
+    pub fn pairs(&self) -> usize {
+        self.count
+    }
+
+    /// Key of pair `i`.
+    pub fn key(&self, i: usize) -> Key {
+        read_u64(self.b, HEADER_LEN + i * PAIR_LEN)
+    }
+
+    /// Value of pair `i` (record pointer or raw child id).
+    pub fn value(&self, i: usize) -> u64 {
+        read_u64(self.b, HEADER_LEN + i * PAIR_LEN + 8)
+    }
+
+    /// The paper's `next(A, v)`; see [`Node::next`].
+    pub fn next(&self, v: Key) -> Next {
+        if Bound::Key(v) > self.high {
+            return Next::Link(self.link.expect("non-rightmost node must have a link"));
+        }
+        match self.kind {
+            NodeKind::Leaf => Next::Here,
+            NodeKind::Internal => Next::Child(self.pointer(self.child_index(v))),
+        }
+    }
+
+    /// §5.2 wrong-node test; see [`Node::wrong_node`].
+    pub fn wrong_node(&self, v: Key) -> bool {
+        Bound::Key(v) <= self.low
+    }
+
+    /// Index `j` of the pointer to follow for `v`: `vⱼ < v ≤ v_{j+1}`,
+    /// by binary search over the pairs in place.
+    pub fn child_index(&self, v: Key) -> usize {
+        let (mut lo, mut hi) = (0, self.count);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key(mid) < v {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The `j`-th child pointer; see [`Node::pointer`].
+    pub fn pointer(&self, j: usize) -> PageId {
+        debug_assert_eq!(self.kind, NodeKind::Internal);
+        if j == 0 {
+            self.p0.expect("internal node without p0")
+        } else {
+            PageId::from_raw(self.value(j - 1) as u32).expect("nil child pointer")
+        }
+    }
+
+    /// Looks up `v` in a leaf.
+    pub fn leaf_get(&self, v: Key) -> Option<u64> {
+        debug_assert_eq!(self.kind, NodeKind::Leaf);
+        let i = self.child_index(v);
+        (i < self.count && self.key(i) == v).then(|| self.value(i))
+    }
+
+    /// Decodes the owned [`Node`] (the pair vector is built here).
+    pub fn to_node(&self) -> Node {
+        Node {
+            kind: self.kind,
+            is_root: self.is_root,
+            deleted: self.deleted,
+            level: self.level,
+            low: self.low,
+            high: self.high,
+            link: self.link,
+            merge_target: self.merge_target,
+            p0: self.p0,
+            entries: (0..self.count)
+                .map(|i| (self.key(i), self.value(i)))
+                .collect(),
+        }
     }
 }
 
@@ -1022,6 +1140,138 @@ mod fuzz {
             if let Ok(decoded) = Node::decode(&page) {
                 let re = Node::decode(&decoded.encode(512)).unwrap();
                 prop_assert_eq!(re, decoded);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod view_props {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    const PAGE: usize = 512;
+
+    fn pid(n: u32) -> PageId {
+        PageId::from_raw(n).unwrap()
+    }
+
+    /// A random well-formed node: leaf or internal, each bound ±∞ or
+    /// finite, possibly deleted with a merge target, `keys.len()` pairs
+    /// (0 up to a full page).
+    fn gen_node(
+        leaf: bool,
+        keys: &BTreeSet<u64>,
+        bounds: (u8, u8),
+        deleted: bool,
+        seed: u64,
+    ) -> Node {
+        let mut n = if leaf {
+            Node::new_leaf()
+        } else {
+            let mut n = Node::new_internal(1 + (seed % 5) as u8);
+            n.p0 = Some(pid(1 + (seed % 1000) as u32));
+            n
+        };
+        n.is_root = seed & 1 == 1;
+        let first = keys.iter().next().copied().unwrap_or(1_000);
+        let last = keys.iter().next_back().copied().unwrap_or(1_000);
+        n.low = match bounds.0 % 2 {
+            0 => Bound::NegInf,
+            _ => Bound::Key(first.saturating_sub(1 + seed % 5)),
+        };
+        n.high = match bounds.1 % 2 {
+            0 => Bound::PosInf,
+            _ => Bound::Key(last + (seed >> 8) % 7),
+        };
+        // A finite high value always comes with a link (§2.1); the
+        // rightmost node may or may not have one recorded.
+        n.link =
+            (n.high != Bound::PosInf || seed & 2 == 2).then(|| pid(2_000 + (seed % 97) as u32));
+        if deleted {
+            n.deleted = true;
+            n.merge_target = Some(pid(3_000 + (seed % 89) as u32));
+        }
+        n.entries = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                let val = if leaf {
+                    seed.rotate_left(i as u32) ^ k
+                } else {
+                    10 + i as u64
+                };
+                (k, val)
+            })
+            .collect();
+        n
+    }
+
+    /// Probe values around every key and bound, plus the random ones.
+    fn probes(n: &Node, random: &[u64]) -> Vec<u64> {
+        let mut p: Vec<u64> = random.to_vec();
+        for &(k, _) in &n.entries {
+            p.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+        }
+        for b in [n.low, n.high] {
+            if let Bound::Key(k) = b {
+                p.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+            }
+        }
+        p.extend([0, u64::MAX]);
+        p
+    }
+
+    proptest! {
+        /// Routing over the view equals routing over the decoded node.
+        #[test]
+        fn view_routes_like_the_decoded_node(
+            keys in proptest::collection::btree_set(10u64..2_000, 0..max_pairs_for_page(PAGE) + 1),
+            leaf in any::<bool>(),
+            bounds in (0u8..2, 0u8..2),
+            deleted in any::<bool>(),
+            seed in any::<u64>(),
+            random in proptest::collection::vec(0u64..2_200, 1..40),
+        ) {
+            let node = gen_node(leaf, &keys, bounds, deleted, seed);
+            let page = node.encode(PAGE);
+            let view = NodeView::parse(&page).unwrap();
+            prop_assert_eq!(view.to_node(), node.clone());
+            prop_assert_eq!(view.pairs(), node.pairs());
+            for v in probes(&node, &random) {
+                prop_assert_eq!(view.wrong_node(v), node.wrong_node(v), "wrong_node({})", v);
+                prop_assert_eq!(view.child_index(v), node.child_index(v), "child_index({})", v);
+                prop_assert_eq!(view.next(v), node.next(v), "next({})", v);
+                if leaf {
+                    prop_assert_eq!(view.leaf_get(v), node.leaf_get(v), "leaf_get({})", v);
+                }
+            }
+        }
+
+        /// `NodeView::parse` never panics on arbitrary bytes and accepts
+        /// and rejects exactly what `Node::decode` does.
+        #[test]
+        fn parse_agrees_with_decode_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 0..PAGE),
+            magic in any::<bool>(),
+        ) {
+            let mut bytes = bytes;
+            // Half the cases carry the magic, so the checks past it (tags,
+            // count, p₀) see real traffic instead of stopping at byte 0.
+            if magic && bytes.len() >= 2 {
+                bytes[0..2].copy_from_slice(&MAGIC.to_le_bytes());
+            }
+            match (NodeView::parse(&bytes), Node::decode(&bytes)) {
+                (Ok(view), Ok(node)) => {
+                    prop_assert_eq!(view.to_node(), node.clone());
+                    for v in [0, 1, 1 << 32, u64::MAX] {
+                        prop_assert_eq!(view.wrong_node(v), node.wrong_node(v));
+                        prop_assert_eq!(view.child_index(v), node.child_index(v));
+                    }
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => panic!("parse {:?} disagrees with decode {:?}", a.map(|_| ()), b.map(|_| ())),
             }
         }
     }

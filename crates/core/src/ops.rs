@@ -6,7 +6,7 @@ use crate::config::UnderflowPolicy;
 use crate::counters::TreeCounters;
 use crate::error::Result;
 use crate::key::{Bound, Key};
-use crate::node::{Next, Node};
+use crate::node::{Next, Node, NodeView};
 use crate::prime::PrimeBlock;
 use crate::traverse::Budget;
 use crate::tree::{BLinkTree, InsertOutcome};
@@ -38,26 +38,35 @@ impl BLinkTree {
 
     fn search_inner(&self, session: &mut Session, v: Key) -> Result<Option<u64>> {
         let mut budget = Budget::new(self.cfg.max_restarts);
-        let mut d = self.descend(session, v, 0, false, &mut budget)?;
+        // The leaf answers from its bytes under its read latch: the lookup
+        // when `v` belongs here, else the link to move right along.
+        let leaf = |n: &NodeView<'_>| match n.next(v) {
+            Next::Here => Ok(n.leaf_get(v)),
+            Next::Link(l) => Err(l),
+            Next::Child(_) => unreachable!("level-0 node routed to a child"),
+        };
+        let mut at = self
+            .descend_with(session, v, 0, false, &mut budget, leaf)?
+            .node;
         loop {
-            // `moveright`: follow links until the leaf where v belongs.
-            match d.node.next(v) {
-                Next::Here => return Ok(d.node.leaf_get(v)),
-                Next::Link(l) => {
+            match at {
+                Ok(found) => return Ok(found),
+                // `moveright`: follow links until the leaf where v belongs.
+                Err(link) => {
                     self.note_link(session);
-                    let mut cur = l;
-                    match self.step_node(session, &mut cur, 0)? {
-                        Some(n) if !n.wrong_node(v) => {
-                            d.pid = cur;
-                            d.node = n;
-                        }
-                        _ => {
+                    let mut cur = link;
+                    let step = self.step_node_with(session, &mut cur, 0, |n| {
+                        (!n.wrong_node(v)).then(|| leaf(n))
+                    })?;
+                    at = match step.flatten() {
+                        Some(next) => next,
+                        None => {
                             budget.restart(session, &self.counters)?;
-                            d = self.descend(session, v, 0, false, &mut budget)?;
+                            self.descend_with(session, v, 0, false, &mut budget, leaf)?
+                                .node
                         }
-                    }
+                    };
                 }
-                Next::Child(_) => unreachable!("level-0 node routed to a child"),
             }
         }
     }
@@ -108,8 +117,8 @@ impl BLinkTree {
         replace: bool,
     ) -> Result<Option<u64>> {
         let mut budget = Budget::new(self.cfg.max_restarts);
-        // movedown-and-stack.
-        let d = self.descend(session, v, 0, true, &mut budget)?;
+        // movedown-and-stack (the leaf itself is re-read under its lock).
+        let d = self.descend_with(session, v, 0, true, &mut budget, |_| ())?;
         let mut stack = d.stack;
         let mut hint = d.pid;
 
@@ -284,7 +293,7 @@ impl BLinkTree {
 
     fn delete_inner(&self, session: &mut Session, v: Key) -> Result<Option<u64>> {
         let mut budget = Budget::new(self.cfg.max_restarts);
-        let d = self.descend(session, v, 0, true, &mut budget)?;
+        let d = self.descend_with(session, v, 0, true, &mut budget, |_| ())?;
         let (pid, mut node) = self.lock_covering(session, v, d.pid, 0, &mut budget)?;
         let old = node.leaf_remove(v);
         let mut inline_item = None;

@@ -15,17 +15,18 @@
 //! Restarts are counted on the session and bounded by
 //! `TreeConfig::max_restarts`.
 //!
-//! Every node a traversal examines comes through `try_read_node`, which
-//! since PR 2 decodes from a pinned buffer-pool frame guard rather than an
-//! owned page copy: the §2.2 "private snapshot" a process reasons over is
-//! the decoded [`Node`], and the guard (plus its pin) is gone before the
-//! traversal takes another step — so holding no locks also means holding
-//! no pins across waits.
+//! Every node a traversal examines comes through `BLinkTree::read_view`:
+//! a [`NodeView`] over the page bytes — under the frame's read latch, or
+//! over a private seqlock-validated copy on the optimistic branch path —
+//! from which the step takes only what it needs (a routing decision, a
+//! leaf lookup, or, where an updater needs it, the decoded [`Node`]). The
+//! guard (plus its pin) is gone before the traversal takes another step,
+//! so holding no locks also means holding no pins across waits.
 
 use crate::counters::TreeCounters;
 use crate::error::{Result, TreeError};
 use crate::key::{Bound, Key};
-use crate::node::{Next, Node};
+use crate::node::{Next, Node, NodeView};
 use crate::tree::BLinkTree;
 use blink_pagestore::{PageId, Session};
 
@@ -59,16 +60,35 @@ impl Budget {
     }
 }
 
-/// Result of a descent: the first node reached at the target level (an
+/// Result of a descent: the first node reached at the target level, what
+/// the caller's `at_target` made of it (by default the decoded [`Node`], an
 /// unlocked snapshot) and, when requested, the stack of nodes through which
 /// the descent passed (`movedown-and-stack`).
 #[derive(Debug)]
-pub(crate) struct Descent {
+pub(crate) struct Descent<T = Node> {
     pub pid: PageId,
-    pub node: Node,
+    pub node: T,
     /// One pointer per level above `target_level`, top of tree first; the
     /// last element is the node at `target_level + 1` we descended through.
     pub stack: Vec<PageId>,
+}
+
+/// What one descent step decided on a node's view.
+enum Route<R> {
+    /// The node is at the target level: `at_target`'s answer.
+    Target(R),
+    /// Above the target: where `next(A, v)` leads.
+    Next(Next),
+}
+
+/// What one read of a node at the expected level turned up.
+enum Hop<R> {
+    /// Wrong level (freed and reallocated) or a dead-end merge chain.
+    Restart,
+    /// A deleted node's merge pointer.
+    Merge(PageId),
+    /// A live node: the step closure's answer.
+    Live(R),
 }
 
 impl BLinkTree {
@@ -103,8 +123,9 @@ impl BLinkTree {
 
     /// `movedown` / `movedown-and-stack` (Fig. 4/5), generalized to stop at
     /// `target_level` (0 for leaves; higher for locating split parents and
-    /// compression parents). Returns the first node reached at that level;
-    /// the caller continues with `moveright` (with or without locks).
+    /// compression parents). Returns the first node reached at that level,
+    /// decoded; the caller continues with `moveright` (with or without
+    /// locks).
     pub(crate) fn descend(
         &self,
         session: &mut Session,
@@ -113,6 +134,24 @@ impl BLinkTree {
         with_stack: bool,
         budget: &mut Budget,
     ) -> Result<Descent> {
+        self.descend_with(session, v, target_level, with_stack, budget, |n| {
+            n.to_node()
+        })
+    }
+
+    /// [`BLinkTree::descend`] with the target node's answer chosen by the
+    /// caller: every level above `target_level` is routed by binary search
+    /// over the page's [`NodeView`] (nothing decoded), and `at_target`
+    /// runs on the view of the first covering node at the target level.
+    pub(crate) fn descend_with<R>(
+        &self,
+        session: &mut Session,
+        v: Key,
+        target_level: u8,
+        with_stack: bool,
+        budget: &mut Budget,
+        mut at_target: impl FnMut(&NodeView<'_>) -> R,
+    ) -> Result<Descent<R>> {
         'restart: loop {
             let prime = self.read_prime()?;
             if prime.height <= u32::from(target_level) {
@@ -125,77 +164,90 @@ impl BLinkTree {
             let mut expected_level = (prime.height - 1) as u8;
             let mut stack = Vec::new();
             loop {
-                let Some(node) = self.step_node(session, &mut current, expected_level)? else {
-                    budget.restart(session, &self.counters)?;
-                    continue 'restart;
-                };
-                if node.wrong_node(v) {
-                    budget.restart(session, &self.counters)?;
-                    continue 'restart;
-                }
-                if expected_level == target_level {
-                    return Ok(Descent {
-                        pid: current,
-                        node,
-                        stack,
-                    });
-                }
-                match node.next(v) {
-                    Next::Link(l) => {
+                let at = expected_level == target_level;
+                let route = self.step_node_with(session, &mut current, expected_level, |n| {
+                    if n.wrong_node(v) {
+                        None
+                    } else if at {
+                        Some(Route::Target(at_target(n)))
+                    } else {
+                        Some(Route::Next(n.next(v)))
+                    }
+                })?;
+                match route.flatten() {
+                    None => {
+                        budget.restart(session, &self.counters)?;
+                        continue 'restart;
+                    }
+                    Some(Route::Target(node)) => {
+                        return Ok(Descent {
+                            pid: current,
+                            node,
+                            stack,
+                        });
+                    }
+                    Some(Route::Next(Next::Link(l))) => {
                         self.note_link(session);
                         current = l;
                     }
-                    Next::Child(c) => {
+                    Some(Route::Next(Next::Child(c))) => {
                         if with_stack {
                             stack.push(current);
                         }
                         expected_level -= 1;
                         current = c;
                     }
-                    Next::Here => unreachable!("leaf above target level"),
+                    Some(Route::Next(Next::Here)) => unreachable!("leaf above target level"),
                 }
             }
         }
     }
 
     /// Reads the node at `*current`, following merge pointers of deleted
-    /// nodes (updating `*current` as it goes). Returns `None` — meaning the
-    /// caller must restart — when the page is unreadable, the node is not
-    /// at the expected level (freed and reallocated), or a merge chain
-    /// dead-ends.
+    /// nodes (updating `*current` as it goes), and decodes it. Returns
+    /// `None` — meaning the caller must restart — when the page is
+    /// unreadable, the node is not at the expected level (freed and
+    /// reallocated), or a merge chain dead-ends.
     pub(crate) fn step_node(
         &self,
         session: &mut Session,
         current: &mut PageId,
         expected_level: u8,
     ) -> Result<Option<Node>> {
+        self.step_node_with(session, current, expected_level, |n| n.to_node())
+    }
+
+    /// [`BLinkTree::step_node`] answering with `f` over the live node's
+    /// view instead of decoding it.
+    pub(crate) fn step_node_with<R>(
+        &self,
+        session: &mut Session,
+        current: &mut PageId,
+        expected_level: u8,
+        mut f: impl FnMut(&NodeView<'_>) -> R,
+    ) -> Result<Option<R>> {
         // Merge chains are short (one hop in steady state); bound defensively.
         // Root/branch levels may read optimistically (seqlock-validated,
         // no frame latch); leaves always take the latched path.
         let optimistic = self.cfg.optimistic_reads && expected_level > 0;
         for _ in 0..64 {
-            let read = if optimistic {
-                self.try_read_node_optimistic(*current)?
-            } else {
-                self.try_read_node(*current)?
-            };
-            let Some(node) = read else {
-                return Ok(None);
-            };
-            if node.level != expected_level {
-                return Ok(None);
-            }
-            if node.deleted {
-                match node.merge_target {
-                    Some(t) => {
-                        session.note_merge_pointer();
-                        *current = t;
-                        continue;
-                    }
-                    None => return Ok(None),
+            let hop = self.read_view(*current, optimistic, |n| {
+                if n.level != expected_level {
+                    Hop::Restart
+                } else if n.deleted {
+                    n.merge_target.map_or(Hop::Restart, Hop::Merge)
+                } else {
+                    Hop::Live(f(n))
                 }
+            })?;
+            match hop {
+                Some(Hop::Live(r)) => return Ok(Some(r)),
+                Some(Hop::Merge(t)) => {
+                    session.note_merge_pointer();
+                    *current = t;
+                }
+                Some(Hop::Restart) | None => return Ok(None),
             }
-            return Ok(Some(node));
         }
         Ok(None)
     }
@@ -222,7 +274,9 @@ impl BLinkTree {
                 None => {
                     self.store.unlock(current, session);
                     budget.restart(session, &self.counters)?;
-                    current = self.descend(session, v, level, false, budget)?.pid;
+                    current = self
+                        .descend_with(session, v, level, false, budget, |_| ())?
+                        .pid;
                     continue;
                 }
             };
@@ -235,7 +289,9 @@ impl BLinkTree {
                     }
                     None => {
                         budget.restart(session, &self.counters)?;
-                        current = self.descend(session, v, level, false, budget)?.pid;
+                        current = self
+                            .descend_with(session, v, level, false, budget, |_| ())?
+                            .pid;
                     }
                 }
                 continue;
@@ -243,7 +299,9 @@ impl BLinkTree {
             if node.level != level || node.wrong_node(v) {
                 self.store.unlock(current, session);
                 budget.restart(session, &self.counters)?;
-                current = self.descend(session, v, level, false, budget)?.pid;
+                current = self
+                    .descend_with(session, v, level, false, budget, |_| ())?
+                    .pid;
                 continue;
             }
             if Bound::Key(v) > node.high {

@@ -10,11 +10,11 @@ use crate::compress::queue::CompressionQueue;
 use crate::config::TreeConfig;
 use crate::counters::TreeCounters;
 use crate::error::{Result, TreeError};
-use crate::node::Node;
+use crate::node::{Node, NodeView};
 use crate::prime::PrimeBlock;
 use blink_pagestore::{
-    DeferredFreeList, LogicalClock, PageId, PageStore, Session, SessionRegistry, StoreError,
-    WriteIntent,
+    DeferredFreeList, LogicalClock, PageId, PageStamp, PageStore, Session, SessionRegistry,
+    StoreError, WriteIntent,
 };
 use std::sync::Arc;
 
@@ -29,7 +29,7 @@ pub enum InsertOutcome {
 }
 
 /// Test-only hook fired between an optimistic node snapshot and its
-/// revalidation (see `BLinkTree::try_read_node_optimistic`): lets a test
+/// revalidation (see `BLinkTree::read_view`): lets a test
 /// place a concurrent split deterministically inside the validation
 /// window. Fires at most once per arming, then disarms itself. The
 /// `AtomicBool` gate keeps the cost on the hot path to one relaxed load.
@@ -279,57 +279,73 @@ impl BLinkTree {
     /// reallocated to something undecodable, or out of bounds — all of
     /// which traversals answer with a restart (§5.2).
     pub(crate) fn try_read_node(&self, pid: PageId) -> Result<Option<Node>> {
-        match self.store.read(pid) {
-            Ok(guard) => match Node::decode(&guard) {
-                Ok(n) => Ok(Some(n)),
-                Err(TreeError::Corrupt(_)) => Ok(None),
-                Err(e) => Err(e),
-            },
+        self.read_view(pid, false, |n| n.to_node())
+    }
+
+    /// Reads `pid` and answers `f` over its [`NodeView`]; `Ok(None)` in
+    /// every case [`BLinkTree::try_read_node`] returns it.
+    ///
+    /// Latched, `f` runs on the page bytes under the frame's read latch.
+    /// With `optimistic` (root/branch descent steps), the page is first
+    /// copied out of its frame **without taking the frame latch**
+    /// (validated by the frame's seqlock) and `f` runs on that private
+    /// copy; the version stamp is then revalidated before the answer may
+    /// be acted on. A failed revalidation — a writer began mutating the
+    /// page since the snapshot — returns `Ok(None)`, which traversals
+    /// answer with a restart, exactly like a wrong-node read. Unavailable
+    /// fast paths (page not resident, writer mid-mutation) fall back to
+    /// the latched read.
+    pub(crate) fn read_view<R>(
+        &self,
+        pid: PageId,
+        optimistic: bool,
+        mut f: impl FnMut(&NodeView<'_>) -> R,
+    ) -> Result<Option<R>> {
+        let snapshot = if optimistic {
+            self.read_snapshot(pid, |b| NodeView::parse(b).ok().map(|n| f(&n)))
+        } else {
+            Ok(None)
+        };
+        let latched = match snapshot {
+            Ok(Some((stamp, r))) => {
+                self.optimistic_hook.fire();
+                return Ok(if self.store.stamp_valid(pid, &stamp) {
+                    r
+                } else {
+                    None
+                });
+            }
+            Ok(None) => self.store.read(pid),
+            Err(e) => Err(e),
+        };
+        match latched {
+            Ok(guard) => Ok(NodeView::parse(&guard).ok().map(|n| f(&n))),
             Err(StoreError::PageFreed(_)) | Err(StoreError::OutOfBounds(_)) => Ok(None),
             Err(e) => Err(e.into()),
         }
     }
 
-    /// Optimistic (version-coupled) variant of
-    /// [`BLinkTree::try_read_node`] for root/branch descent steps: copies
-    /// the page out of its buffer-pool frame **without taking the frame
-    /// latch** (validated by the frame's seqlock), decodes the private
-    /// copy, then revalidates the version stamp before letting the
-    /// descent act on the node. A failed revalidation — a writer began
-    /// mutating the page since the snapshot — returns `Ok(None)`, which
-    /// traversals answer with a restart, exactly like a wrong-node read.
-    /// Unavailable fast paths (page not resident, writer mid-mutation)
-    /// fall back to the latched read.
-    pub(crate) fn try_read_node_optimistic(&self, pid: PageId) -> Result<Option<Node>> {
+    /// The seqlock read (README rule 2, "copy, then decode privately"):
+    /// copies `pid` out of its resident frame into a thread-local buffer
+    /// without the frame latch and runs `f` over the private copy. The
+    /// caller revalidates the returned stamp before acting on `f`'s
+    /// answer. `Ok(None)` when no snapshot could be taken (page not
+    /// resident, writer mid-copy).
+    fn read_snapshot<R>(
+        &self,
+        pid: PageId,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> std::result::Result<Option<(PageStamp, R)>, StoreError> {
         thread_local! {
             static OPT_BUF: std::cell::RefCell<Vec<u8>> =
                 const { std::cell::RefCell::new(Vec::new()) };
         }
-        let got = OPT_BUF.with(|b| {
+        OPT_BUF.with(|b| {
             let mut buf = b.borrow_mut();
             buf.resize(self.store.page_size(), 0);
-            match self.store.read_unlatched(pid, &mut buf) {
-                Ok(Some(stamp)) => Ok(Some((stamp, Node::decode(&buf)))),
-                Ok(None) => Ok(None),
-                Err(e) => Err(e),
-            }
-        });
-        match got {
-            Ok(Some((stamp, decoded))) => {
-                self.optimistic_hook.fire();
-                if !self.store.stamp_valid(pid, &stamp) {
-                    return Ok(None);
-                }
-                match decoded {
-                    Ok(n) => Ok(Some(n)),
-                    Err(TreeError::Corrupt(_)) => Ok(None),
-                    Err(e) => Err(e),
-                }
-            }
-            Ok(None) => self.try_read_node(pid),
-            Err(StoreError::PageFreed(_)) | Err(StoreError::OutOfBounds(_)) => Ok(None),
-            Err(e) => Err(e.into()),
-        }
+            let stamp = self.store.read_unlatched(pid, &mut buf)?;
+            Ok(stamp.map(|stamp| (stamp, f(&buf))))
+        })
     }
 
     /// Encodes and writes a node (one indivisible, journaled `put`),
@@ -341,8 +357,17 @@ impl BLinkTree {
         Ok(())
     }
 
-    /// Reads the prime block.
+    /// Reads the prime block — over the seqlock path, like the branch
+    /// levels, when `optimistic_reads` is on (a stale or unavailable
+    /// snapshot falls back to the latched read).
     pub(crate) fn read_prime(&self) -> Result<PrimeBlock> {
+        if self.cfg.optimistic_reads {
+            if let Some((stamp, prime)) = self.read_snapshot(self.prime_pid, PrimeBlock::decode)? {
+                if self.store.stamp_valid(self.prime_pid, &stamp) {
+                    return prime;
+                }
+            }
+        }
         PrimeBlock::decode(&self.store.read(self.prime_pid)?)
     }
 

@@ -475,16 +475,17 @@ impl<'db> DbSession<'db> {
         // the index never points at bytes that are not yet logged), then
         // the index.
         let rid = self.db.heap.insert(value)?;
-        match self.db.tree.upsert(&mut self.session, key, rid.to_raw()) {
-            Ok(None) => Ok(PutOutcome::Inserted),
-            Ok(Some(old_raw)) => {
+        // A failed upsert leaves the fresh record in place. The failure may
+        // come after the pair already reached a logged leaf (a split writes
+        // the new right half before the write that fails, and a restart
+        // budget can run out one level up), so freeing `rid` here could
+        // leave the index pointing at a freed record. An unreferenced
+        // record is reclaimed by the orphan sweep on the next open.
+        match self.db.tree.upsert(&mut self.session, key, rid.to_raw())? {
+            None => Ok(PutOutcome::Inserted),
+            Some(old_raw) => {
                 free_quiet(&self.db.heap, old_raw)?;
                 Ok(PutOutcome::Replaced)
-            }
-            Err(e) => {
-                // Index update failed: the fresh record would leak; undo.
-                let _ = self.db.heap.free(rid);
-                Err(e)
             }
         }
     }

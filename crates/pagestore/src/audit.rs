@@ -58,8 +58,8 @@ pub enum LockClass {
     /// frame-level rule (top-down, left-to-right overtaking) applies on
     /// top of the class edge.
     FrameLatch = 3,
-    /// A page's `Slot::allocated` mutex: serializes loads, write-backs,
-    /// bypasses and journal appends of one page.
+    /// A page's slot latch (`Slot::latch`): serializes loads, write-backs,
+    /// bypasses, journal appends and allocation-flag changes of one page.
     SlotLatch = 4,
     /// The WAL append mutex (`Wal::inner`): segment file + LSN cursor.
     WalAppend = 5,
@@ -68,7 +68,8 @@ pub enum LockClass {
     WalSlot = 6,
     /// The group-commit window (`Wal::flushed` + its condvar).
     CommitWindow = 7,
-    /// The store's slot-table `RwLock` (`PageStore::slots`).
+    /// The slot table's growth mutex (`SlotTable::grow_with`, taken only
+    /// when `alloc` finds the free list empty). Lookups are lock-free.
     SlotsMap = 8,
     /// The store's free-list mutex (`PageStore::free`).
     FreeList = 9,
@@ -134,11 +135,12 @@ pub const fn edge_allowed(from: LockClass, to: LockClass) -> bool {
                 | HeapRecycle
         ),
         // Frame latch → slot latch → journal/backend is the store's
-        // documented order; `slot()` (SlotsMap) and the pool's shard
-        // mutexes may be taken below it.
+        // documented order; the pool's shard mutexes may be taken below
+        // it. (Slot lookups take no lock, and nothing allocates a page
+        // under a frame latch, so SlotsMap is not reachable from here.)
         FrameLatch => matches!(
             to,
-            SlotLatch | WalAppend | WalSlot | CommitWindow | WalBatch | SlotsMap | PoolShard
+            SlotLatch | WalAppend | WalSlot | CommitWindow | WalBatch | PoolShard
         ),
         // Under a slot latch: journal appends (append mutex, staging
         // slots, the commit window / pipeline batches) and pool-shard

@@ -101,8 +101,13 @@ impl StoreHealth {
     /// Consumes a flagged background error, if any. Poison is *not*
     /// consumable — once poisoned, [`check_poisoned`](Self::check_poisoned)
     /// keeps failing; this only drains the one-shot flusher latch.
+    ///
+    /// Every page access calls this, so the clean case is a plain load:
+    /// only a set flag pays for the `swap` (a read-modify-write that would
+    /// otherwise bounce this one store-wide cache line between readers).
+    #[inline]
     pub fn take_flagged(&self) -> Option<StoreError> {
-        if !self.flagged.swap(false, Ordering::Relaxed) {
+        if !self.flagged.load(Ordering::Relaxed) || !self.flagged.swap(false, Ordering::Relaxed) {
             return None;
         }
         let mut latched = self.lock_latched();
@@ -157,6 +162,40 @@ mod tests {
         );
         assert_eq!(h.take_flagged(), None, "the flag is one-shot");
         assert!(!h.is_poisoned(), "a flagged error does not poison");
+    }
+
+    #[test]
+    fn one_flagged_flusher_error_surfaces_exactly_once_across_threads() {
+        // Many foreground ops race to consume one flagged error: the
+        // load-before-swap fast path must neither lose it nor hand it out
+        // twice.
+        let h = std::sync::Arc::new(StoreHealth::new());
+        h.flag(StoreError::Io("writeback: EIO".into()));
+        let taken: usize = (0..4)
+            .map(|_| {
+                let h = std::sync::Arc::clone(&h);
+                std::thread::spawn(move || (0..1000).filter(|_| h.take_flagged().is_some()).count())
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .sum();
+        assert_eq!(taken, 1, "a flagged error surfaces exactly once");
+        assert_eq!(h.take_flagged(), None);
+    }
+
+    #[test]
+    fn poison_stays_sticky_through_the_flag_fast_path() {
+        let h = StoreHealth::new();
+        h.poison(StoreError::Io("wal fsync: EIO".into()));
+        // Nothing flagged: the fast path returns without consuming poison.
+        assert_eq!(h.take_flagged(), None);
+        assert_eq!(h.check_poisoned(), Err(StoreError::Poisoned));
+        h.flag(StoreError::Io("later".into()));
+        assert!(h.take_flagged().is_some());
+        assert_eq!(h.take_flagged(), None);
+        assert!(h.is_poisoned(), "poison survives every take_flagged");
+        assert_eq!(h.cause(), Some(StoreError::Io("wal fsync: EIO".into())));
     }
 
     #[test]

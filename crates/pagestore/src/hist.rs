@@ -77,12 +77,23 @@ impl WaitHist {
     }
 
     /// Records one value. Safe to call from any thread.
+    ///
+    /// The extremes are read first and only written when `v` moves them:
+    /// `fetch_max`/`fetch_min` are CAS loops, and in steady state almost
+    /// no sample sets a new extreme, so a plain load keeps the shared
+    /// min/max line in every recorder's cache instead of bouncing it.
+    /// Exact all the same: a racing recorder that moved an extreme first
+    /// only makes the skipped update redundant.
     pub fn record(&self, v: u64) {
         self.counts[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded values.
@@ -417,6 +428,33 @@ mod tests {
         assert_eq!(snap.count(), 40_000);
         assert_eq!(snap.min(), 0);
         assert_eq!(snap.max(), 3_009_999);
+    }
+
+    #[test]
+    fn racing_recorders_keep_count_sum_and_extremes_exact() {
+        // Scrambled values so every thread keeps moving min and max while
+        // the others do: the load-before-CAS path must not lose an extreme.
+        use std::sync::Arc;
+        const PER: u64 = 50_000;
+        let value = |t: u64, i: u64| (i * 7_919 + t * 104_729) % 1_000_003 + 5;
+        let w = Arc::new(WaitHist::new());
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let w = Arc::clone(&w);
+                std::thread::spawn(move || (0..PER).for_each(|i| w.record(value(t, i))))
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let all: Vec<u64> = (0..4u64)
+            .flat_map(|t| (0..PER).map(move |i| value(t, i)))
+            .collect();
+        let snap = w.snapshot();
+        assert_eq!(snap.count(), 4 * PER);
+        assert_eq!(snap.sum(), all.iter().sum::<u64>());
+        assert_eq!(snap.min(), *all.iter().min().unwrap());
+        assert_eq!(snap.max(), *all.iter().max().unwrap());
     }
 
     #[test]

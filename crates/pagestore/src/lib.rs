@@ -51,6 +51,7 @@ pub mod pool;
 pub mod reclaim;
 pub mod rwlock;
 pub mod session;
+pub(crate) mod slots;
 pub mod stats;
 pub mod store;
 
@@ -67,5 +68,5 @@ pub use page::{
 };
 pub use reclaim::DeferredFreeList;
 pub use session::{Session, SessionRegistry, SessionStats};
-pub use stats::{StatsSnapshot, StoreStats};
+pub use stats::{Counter, StatsSnapshot, StoreStats};
 pub use store::{PageRef, PageStamp, PageStore, PageWrite, StoreConfig, WriteIntent};

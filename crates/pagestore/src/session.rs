@@ -18,7 +18,6 @@
 use crate::clock::{LogicalClock, Timestamp, IDLE};
 use crate::page::PageId;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -66,14 +65,24 @@ impl SessionStats {
     }
 }
 
+/// One session's published start stamp ([`IDLE`] between operations),
+/// alone on its cache line: `begin_op`/`end_op` store into it without
+/// touching any lock or any line another session writes.
+#[derive(Debug)]
+#[repr(align(64))]
+struct StartStamp(AtomicU64);
+
 /// Tracks every live session's current operation start time.
 ///
 /// `min_active_start()` is the reclamation horizon of §5.3 (combined by the
 /// tree with the minimum timestamp of queued compression stacks, §5.4).
+/// Each session publishes its stamp in its own padded atomic; the
+/// registry's mutex only guards the list of stamps, so it is taken by
+/// `open`, `close` and the horizon scan, never by an operation.
 #[derive(Debug)]
 pub struct SessionRegistry {
     clock: Arc<LogicalClock>,
-    active: Mutex<HashMap<u64, Timestamp>>,
+    active: Mutex<Vec<(u64, Arc<StartStamp>)>>,
     next_id: AtomicU64,
 }
 
@@ -81,7 +90,7 @@ impl SessionRegistry {
     pub fn new(clock: Arc<LogicalClock>) -> Arc<SessionRegistry> {
         Arc::new(SessionRegistry {
             clock,
-            active: Mutex::new(HashMap::new()),
+            active: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(1),
         })
     }
@@ -89,10 +98,12 @@ impl SessionRegistry {
     /// Opens a new session (a worker's identity). The session starts idle.
     pub fn open(self: &Arc<SessionRegistry>) -> Session {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.active.lock().insert(id, IDLE);
+        let stamp = Arc::new(StartStamp(AtomicU64::new(IDLE)));
+        self.active.lock().push((id, Arc::clone(&stamp)));
         Session {
             id,
             registry: Arc::clone(self),
+            stamp,
             start: IDLE,
             held: Vec::with_capacity(4),
             stats: SessionStats::default(),
@@ -107,8 +118,18 @@ impl SessionRegistry {
     /// Earliest start time among operations currently in flight ([`IDLE`] if
     /// every session is between operations). Deleted nodes stamped strictly
     /// before this may be reclaimed, as far as reader visibility goes.
+    ///
+    /// The stamps are `SeqCst` on both sides: once `begin_op` has returned
+    /// `t`, every later scan (in the single total order of `SeqCst`
+    /// operations) sees `t` or a later stamp of the same session, so a
+    /// running operation is never behind the horizon.
     pub fn min_active_start(&self) -> Timestamp {
-        self.active.lock().values().copied().min().unwrap_or(IDLE)
+        self.active
+            .lock()
+            .iter()
+            .map(|(_, s)| s.0.load(Ordering::SeqCst))
+            .min()
+            .unwrap_or(IDLE)
     }
 
     /// Number of sessions currently open (for diagnostics).
@@ -116,14 +137,11 @@ impl SessionRegistry {
         self.active.lock().len()
     }
 
-    fn set_start(&self, id: u64, t: Timestamp) {
-        if let Some(slot) = self.active.lock().get_mut(&id) {
-            *slot = t;
-        }
-    }
-
     fn close(&self, id: u64) {
-        self.active.lock().remove(&id);
+        let mut active = self.active.lock();
+        if let Some(i) = active.iter().position(|&(sid, _)| sid == id) {
+            active.swap_remove(i);
+        }
     }
 }
 
@@ -132,6 +150,8 @@ impl SessionRegistry {
 pub struct Session {
     id: u64,
     registry: Arc<SessionRegistry>,
+    /// This session's slot in the registry (see [`StartStamp`]).
+    stamp: Arc<StartStamp>,
     start: Timestamp,
     held: Vec<PageId>,
     stats: SessionStats,
@@ -146,8 +166,7 @@ impl Session {
     /// Marks the start of a logical operation; returns its start timestamp.
     pub fn begin_op(&mut self) -> Timestamp {
         let t = self.registry.clock.tick();
-        self.start = t;
-        self.registry.set_start(self.id, t);
+        self.publish(t);
         self.stats.ops += 1;
         t
     }
@@ -160,8 +179,14 @@ impl Session {
             "logical operation ended while holding locks: {:?}",
             self.held
         );
-        self.start = IDLE;
-        self.registry.set_start(self.id, IDLE);
+        self.publish(IDLE);
+    }
+
+    /// Records `t` as this session's start stamp, locally and in its
+    /// registry slot (`SeqCst`: see [`SessionRegistry::min_active_start`]).
+    fn publish(&mut self, t: Timestamp) {
+        self.start = t;
+        self.stamp.0.store(t, Ordering::SeqCst);
     }
 
     /// Start timestamp of the operation in flight ([`IDLE`] when idle).
@@ -175,8 +200,7 @@ impl Session {
     /// worker does not hold back the reclamation horizon.
     pub fn refresh_stamp(&mut self) -> Timestamp {
         let t = self.registry.clock.tick();
-        self.start = t;
-        self.registry.set_start(self.id, t);
+        self.publish(t);
         t
     }
 

@@ -2,8 +2,12 @@
 //!
 //! The paper's claims are stated in terms of locks obtained, lock waiting,
 //! and extra page reads (link follows, restarts). These counters are the raw
-//! material for experiments E1/E4/E5; they are plain relaxed atomics so they
-//! perturb the measured protocols as little as possible.
+//! material for experiments E1/E4/E5. Each one is a [`Counter`]: an exact
+//! count striped over cache-line-padded atomics, one stripe per thread
+//! (round-robin), so bumping it on a hot path — every page read bumps
+//! two or three — writes a line no other thread is writing, and two
+//! readers of the same page stop contending on the store's counters.
+//! `snapshot()` sums the stripes; nothing is sampled or flushed lazily.
 //!
 //! Every field is declared exactly once, inside the `store_stats!`
 //! invocation at the bottom of this file: the macro generates the atomic
@@ -20,7 +24,69 @@
 //! p50/p99.
 
 use crate::hist::{HistSnapshot, WaitHist};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+/// Stripes per [`Counter`]. More stripes than cores keeps threads apart
+/// under round-robin assignment; 16 × 64 B = 1 KiB per counter.
+const STRIPES: usize = 16;
+
+/// One stripe: an atomic alone on its cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Stripe(AtomicU64);
+
+/// An exact, striped event counter (see the module docs). Adds go to the
+/// calling thread's stripe with one relaxed `fetch_add`; [`Counter::load`]
+/// sums every stripe. Successive loads never decrease, so snapshot deltas
+/// cannot underflow.
+#[derive(Default)]
+pub struct Counter {
+    stripes: [Stripe; STRIPES],
+}
+
+impl Counter {
+    /// Adds `v` (wrapping, like `fetch_add`).
+    #[inline]
+    pub fn add(&self, v: u64) {
+        self.stripes[stripe_index()]
+            .0
+            .fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// The exact total: the sum of every stripe.
+    pub fn load(&self) -> u64 {
+        self.stripes
+            .iter()
+            .fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl std::fmt::Debug for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}", self.load())
+    }
+}
+
+/// The calling thread's stripe, assigned round-robin on first use: threads
+/// started one after another get distinct stripes, wrapping after
+/// [`STRIPES`] (a shared stripe is still exact, only contended).
+#[inline]
+fn stripe_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+    STRIPE.with(|s| {
+        let i = s.get();
+        if i != usize::MAX {
+            return i;
+        }
+        let i = NEXT.fetch_add(1, Ordering::Relaxed) % STRIPES;
+        s.set(i);
+        i
+    })
+}
 
 macro_rules! store_stats {
     (
@@ -34,7 +100,7 @@ macro_rules! store_stats {
         /// Counters maintained by a [`crate::PageStore`].
         #[derive(Debug, Default)]
         pub struct StoreStats {
-            $( $(#[$cattr])* pub $cname: AtomicU64, )*
+            $( $(#[$cattr])* pub $cname: Counter, )*
             $( $(#[$hattr])* pub $hname: WaitHist, )*
         }
 
@@ -58,13 +124,13 @@ macro_rules! store_stats {
             /// Copies every counter and histogram.
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
-                    $( $cname: self.$cname.load(Ordering::Relaxed), )*
+                    $( $cname: self.$cname.load(), )*
                     $( $hname: self.$hname.snapshot(), )*
                 }
             }
 
             /// Looks a scalar counter up by name (tests, generic emitters).
-            pub fn counter_ref(&self, name: &str) -> Option<&AtomicU64> {
+            pub fn counter_ref(&self, name: &str) -> Option<&Counter> {
                 match name {
                     $( stringify!($cname) => Some(&self.$cname), )*
                     _ => None,
@@ -300,13 +366,15 @@ store_stats! {
 impl StoreStats {
     /// Adds 1 to a counter (public so journal implementations in other
     /// crates can maintain the WAL counters on a shared `StoreStats`).
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    #[inline]
+    pub fn bump(counter: &Counter) {
+        counter.add(1);
     }
 
     /// Adds `v` to a counter.
-    pub fn add(counter: &AtomicU64, v: u64) {
-        counter.fetch_add(v, Ordering::Relaxed);
+    #[inline]
+    pub fn add(counter: &Counter, v: u64) {
+        counter.add(v);
     }
 
     /// Records one contended paper-lock acquisition that waited `ns`.
@@ -435,6 +503,30 @@ mod tests {
         assert_eq!(d.lock_wait_ns, 0);
         assert_eq!(b.lock_wait_ns, 500);
         assert_eq!(b.live_pages(), 1);
+    }
+
+    #[test]
+    fn striped_counter_is_exact_with_more_threads_than_stripes() {
+        let s = std::sync::Arc::new(StoreStats::default());
+        let before = s.snapshot();
+        let threads: Vec<_> = (0..STRIPES as u64 + 4)
+            .map(|t| {
+                let s = std::sync::Arc::clone(&s);
+                std::thread::spawn(move || {
+                    for _ in 0..1_000 {
+                        StoreStats::bump(&s.gets);
+                        StoreStats::add(&s.lock_wait_ns, t);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let d = s.snapshot().delta(&before);
+        let n = STRIPES as u64 + 4;
+        assert_eq!(d.gets, n * 1_000);
+        assert_eq!(d.lock_wait_ns, 1_000 * n * (n - 1) / 2);
     }
 
     #[test]

@@ -25,14 +25,24 @@
 //!
 //! ## Lock order
 //!
-//! frame latch → page slot latch (`Slot::allocated`) → journal/backend.
+//! frame latch → page slot latch (`Slot::latch`) → journal/backend.
 //! Pool shard mutexes are leaves and may be taken at any point. All backend
 //! I/O for a page happens under that page's slot latch, which serializes
 //! loads, write-backs, bypass accesses and alloc-zeroing of the same page.
 //! The `latch-audit` feature checks this order (and the frame-latch level
 //! rule) at runtime — see [`crate::audit`]; every lock site below goes
 //! through an audited wrapper (`latch_read`/`latch_write`, `Slot::latch`,
-//! `slots_read`/`slots_write`, `lock_free`).
+//! `lock_free`, and the slot table's growth function `grow_with`).
+//!
+//! ## What a pool-hit read writes
+//!
+//! Only the page's own frame: its pin count and its read latch (plus the
+//! pool shard mutex that maps the page to the frame). The slot table is a
+//! lock-free array (`slots::SlotTable`), allocation is checked through the
+//! slot's `allocated` flag — an `AtomicBool` written only under the slot
+//! latch — and the hit's counters are per-thread stripes
+//! ([`crate::stats::Counter`]). Every backend and journal access for a
+//! page still holds its slot latch.
 //!
 //! An optional per-access delay (`StoreConfig::io_delay`) simulates the
 //! latency of a real disk/SSD block access on every **backend** access
@@ -50,10 +60,11 @@ use crate::page::{stamp_page_crc, verify_page_crc};
 use crate::page::{Page, PageId};
 use crate::pool::{BufferPool, Claim, Frame};
 use crate::session::Session;
+use crate::slots::SlotTable;
 use crate::stats::StoreStats;
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 use std::ops::Deref;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -230,13 +241,18 @@ impl PaperLock {
     }
 }
 
-/// Per-page bookkeeping: the §2.2 slot latch (doubling as the allocation
-/// flag holder) and the paper lock. Every backend access for the page is
-/// made while holding the `allocated` mutex, which is what keeps loads,
-/// write-backs and bypass accesses of one page mutually indivisible.
+/// Per-page bookkeeping: the §2.2 slot latch, the allocation flag and the
+/// paper lock. Every backend access for the page is made while holding
+/// `latch`, which is what keeps loads, write-backs and bypass accesses of
+/// one page mutually indivisible.
 #[derive(Debug)]
 struct Slot {
-    allocated: Mutex<bool>,
+    latch: Mutex<()>,
+    /// Whether the page is allocated. Written only under `latch` (through
+    /// [`SlotGuard::set_allocated`]), so a latch holder sees a stable
+    /// value; pool-hit reads check it with a plain `Acquire` load instead
+    /// of taking the latch.
+    allocated: AtomicBool,
     lock: PaperLock,
     /// Checkpoint epoch of the page's last full-image WAL record (a put or
     /// an alloc — both let replay rebuild the page from scratch). A delta
@@ -245,27 +261,66 @@ struct Slot {
     /// image so recovery always finds a base to apply deltas over — which
     /// is also what repairs torn page-file writes without full images on
     /// every put. `0` means "no base yet". Read and written under the
-    /// slot's `allocated` latch (the same latch every journal append for
-    /// the page holds).
+    /// slot's latch (the same latch every journal append for the page
+    /// holds).
     base_epoch: AtomicU64,
 }
 
-impl Slot {
-    fn new(allocated: bool) -> Arc<Slot> {
-        Arc::new(Slot {
-            allocated: Mutex::new(allocated),
+impl Default for Slot {
+    fn default() -> Slot {
+        Slot {
+            latch: Mutex::new(()),
+            allocated: AtomicBool::new(false),
             lock: PaperLock::new(),
             base_epoch: AtomicU64::new(0),
-        })
+        }
     }
+}
 
-    /// The only place `Slot::allocated` is locked: every acquisition
+impl Slot {
+    /// The only place `Slot::latch` is locked: every acquisition
     /// registers with the latch auditor as a `SlotLatch` (legal under a
     /// frame latch; journal appends and pool-shard checks may nest inside).
-    fn latch(&self) -> Audited<MutexGuard<'_, bool>> {
-        audit::audited(LockClass::SlotLatch, self as *const Slot as usize, || {
-            self.allocated.lock()
-        })
+    fn latch(&self) -> SlotGuard<'_> {
+        let guard = audit::audited(LockClass::SlotLatch, self as *const Slot as usize, || {
+            self.latch.lock()
+        });
+        SlotGuard {
+            slot: self,
+            allocated: self.allocated.load(Ordering::Relaxed),
+            _guard: guard,
+        }
+    }
+
+    /// Whether the page is allocated, without the latch: the check a
+    /// pool hit makes. Linearizes at the load, like a latched check that
+    /// drops the latch right after.
+    fn is_allocated(&self) -> bool {
+        self.allocated.load(Ordering::Acquire)
+    }
+}
+
+/// A held slot latch. Derefs to the allocation flag as of acquisition —
+/// stable while held, since only a latch holder writes it.
+struct SlotGuard<'a> {
+    slot: &'a Slot,
+    allocated: bool,
+    _guard: Audited<MutexGuard<'a, ()>>,
+}
+
+impl SlotGuard<'_> {
+    /// Publishes the page's allocation state (`Release`: a reader that
+    /// sees `true` also sees the zeroed backend image written before).
+    fn set_allocated(&mut self, allocated: bool) {
+        self.allocated = allocated;
+        self.slot.allocated.store(allocated, Ordering::Release);
+    }
+}
+
+impl Deref for SlotGuard<'_> {
+    type Target = bool;
+    fn deref(&self) -> &bool {
+        &self.allocated
     }
 }
 
@@ -495,7 +550,7 @@ impl PageWrite<'_> {
                     if !*allocated {
                         Err(StoreError::PageFreed(pid))
                     } else {
-                        store.log_page_write(pid, &slot, bytes, tracked.as_deref())
+                        store.log_page_write(pid, slot, bytes, tracked.as_deref())
                     }
                 };
                 match r {
@@ -530,7 +585,7 @@ impl PageWrite<'_> {
                     if !*allocated {
                         Err(StoreError::PageFreed(pid))
                     } else {
-                        store.log_page_write(pid, &slot, bytes, tracked.as_deref())
+                        store.log_page_write(pid, slot, bytes, tracked.as_deref())
                     }
                 };
                 match r {
@@ -606,7 +661,7 @@ pub struct PageStore {
     /// flusher.
     persistent: bool,
     journal: Option<Arc<dyn Journal>>,
-    slots: RwLock<Vec<Arc<Slot>>>,
+    slots: SlotTable<Slot>,
     free: Mutex<Vec<PageId>>,
     pool: BufferPool,
     stats: Arc<StoreStats>,
@@ -650,10 +705,15 @@ impl PageStore {
             ));
         }
         backend.grow(allocated.len())?;
-        let mut slots = Vec::with_capacity(allocated.len());
+        let slots: SlotTable<Slot> = SlotTable::new();
         let mut free = Vec::new();
         for (i, &is_alloc) in allocated.iter().enumerate() {
-            slots.push(Slot::new(is_alloc));
+            let idx = slots.grow_with(|_| Ok::<_, StoreError>(()))?;
+            slots
+                .get(idx)
+                .expect("just grown")
+                .latch()
+                .set_allocated(is_alloc);
             if !is_alloc {
                 free.push(PageId::from_index(i));
             }
@@ -665,7 +725,7 @@ impl PageStore {
             persistent: backend.persistent(),
             backend,
             journal,
-            slots: RwLock::new(slots),
+            slots,
             free: Mutex::new(free),
             stats,
             health: Arc::new(StoreHealth::new()),
@@ -706,26 +766,6 @@ impl PageStore {
             self.stats.record_latch_wait(t0.elapsed().as_nanos() as u64);
             g
         })
-    }
-
-    /// The only readers of the slot table: registers as `SlotsMap` (a leaf
-    /// — callers clone the `Arc<Slot>` out and drop the guard before
-    /// touching any other lock).
-    fn slots_read(&self) -> Audited<RwLockReadGuard<'_, Vec<Arc<Slot>>>> {
-        audit::audited(
-            LockClass::SlotsMap,
-            self as *const PageStore as usize,
-            || self.slots.read(),
-        )
-    }
-
-    /// The only writer of the slot table (the alloc growth path).
-    fn slots_write(&self) -> Audited<RwLockWriteGuard<'_, Vec<Arc<Slot>>>> {
-        audit::audited(
-            LockClass::SlotsMap,
-            self as *const PageStore as usize,
-            || self.slots.write(),
-        )
     }
 
     /// The only place the free list is locked: registers as `FreeList` (a
@@ -890,10 +930,8 @@ impl PageStore {
         if let Some(e) = first_err {
             return Err(e);
         }
-        // Bypass-writer barrier (wait 2 above). The slot table is cloned
-        // out first — SlotsMap is a leaf, no slot latch under it.
-        let slots: Vec<Arc<Slot>> = self.slots_read().iter().cloned().collect();
-        for slot in slots {
+        // Bypass-writer barrier (wait 2 above).
+        for slot in self.slots.iter() {
             drop(slot.latch());
         }
         self.backend.sync()
@@ -983,7 +1021,7 @@ impl PageStore {
 
     /// Total slots ever allocated (live + free-listed).
     pub fn capacity(&self) -> usize {
-        self.slots_read().len()
+        self.slots.len()
     }
 
     /// Pages currently allocated (not on the free list).
@@ -994,10 +1032,8 @@ impl PageStore {
     /// Ids of all currently allocated pages, ascending. For recovery
     /// (garbage collection, checkpointing) on a quiesced store.
     pub fn allocated_pages(&self) -> Vec<PageId> {
-        // Clone the slot handles out first: the slot table is a leaf in
-        // the lock order, so no slot latch is taken while it is held.
-        let slots: Vec<Arc<Slot>> = self.slots_read().iter().cloned().collect();
-        slots
+        // Latched reads: an allocation or free in flight is waited out.
+        self.slots
             .iter()
             .enumerate()
             .filter(|(_, s)| *s.latch())
@@ -1013,11 +1049,11 @@ impl PageStore {
         }
     }
 
-    fn slot(&self, pid: PageId) -> Result<Arc<Slot>> {
-        let slots = self.slots_read();
-        slots
+    /// The page's slot: a lock-free lookup in the append-only table.
+    #[inline]
+    fn slot(&self, pid: PageId) -> Result<&Slot> {
+        self.slots
             .get(pid.index())
-            .cloned()
             .ok_or(StoreError::OutOfBounds(pid))
     }
 
@@ -1241,33 +1277,31 @@ impl PageStore {
             }
             // The alloc record zeroes the page on replay — a valid base
             // for delta records in this epoch.
-            self.note_base(&slot, epoch_before);
+            self.note_base(slot, epoch_before);
             // Publish only after the backend slot is zeroed: a pool loader
             // waiting on this latch must observe the zeroed image.
-            *allocated = true;
+            allocated.set_allocated(true);
             StoreStats::bump(&self.stats.allocs);
             return Ok(pid);
         }
-        // Growth path: publish the slot first, then journal *outside* the
-        // slots write lock — a WAL commit can block on an fsync or a whole
-        // group-commit window, and every get/put needs slots.read(). The
-        // pid is invisible to other threads until returned, so logging
-        // after publication cannot reorder same-page records.
-        let pid = {
-            let mut slots = self.slots_write();
-            let idx = slots.len();
-            self.backend.grow(idx + 1)?;
-            slots.push(Slot::new(true));
-            PageId::from_index(idx)
-        };
+        // Growth path: publish a new (free) slot under the growth mutex,
+        // then allocate it under its own latch like a reused page — the
+        // journal append stays outside the growth mutex, which a WAL
+        // commit could otherwise hold across an fsync. The pid is
+        // invisible to other threads until returned; the backend's grown
+        // tail already reads as zeros.
+        let idx = self.slots.grow_with(|idx| self.backend.grow(idx + 1))?;
+        let pid = PageId::from_index(idx);
         let slot = self.slot(pid).expect("slot was just published");
+        let mut allocated = slot.latch();
         let epoch_before = self.epoch.load(std::sync::atomic::Ordering::Acquire);
         if let Err(e) = self.log(|j| j.log_alloc(pid)) {
-            *slot.latch() = false;
+            drop(allocated);
             self.lock_free().push(pid);
             return Err(e);
         }
-        self.note_base(&slot, epoch_before);
+        self.note_base(slot, epoch_before);
+        allocated.set_allocated(true);
         StoreStats::bump(&self.stats.allocs);
         Ok(pid)
     }
@@ -1287,7 +1321,7 @@ impl PageStore {
                 return Err(StoreError::PageFreed(pid));
             }
             self.log(|j| j.log_free(pid))?;
-            *allocated = false;
+            allocated.set_allocated(false);
         }
         StoreStats::bump(&self.stats.frees);
         // Drop the frame (and its dirty bit: freed bytes are never written
@@ -1306,7 +1340,7 @@ impl PageStore {
         StoreStats::bump(&self.stats.gets);
         if self.pool.capacity() == 0 {
             let page = self
-                .read_bypass(pid, &slot)?
+                .read_bypass(pid, slot)?
                 .expect("a disabled pool cannot race a loader");
             return Ok(PageRef {
                 inner: RefInner::Owned(page),
@@ -1332,7 +1366,7 @@ impl PageStore {
                         }
                         continue;
                     }
-                    if !*slot.latch() {
+                    if !slot.is_allocated() {
                         drop(guard);
                         frame.unpin();
                         return Err(StoreError::PageFreed(pid));
@@ -1357,7 +1391,7 @@ impl PageStore {
                     if evicted {
                         StoreStats::bump(&self.stats.frames_evicted);
                     }
-                    self.load_frame(pid, &slot, frame, idx, flush)?;
+                    self.load_frame(pid, slot, frame, idx, flush)?;
                     self.pool.complete_miss(pid, idx);
                     // Our pin keeps the frame ours; a put may slip in between
                     // latch drops, but then the guard just sees newer bytes.
@@ -1371,7 +1405,7 @@ impl PageStore {
                     });
                 }
                 Claim::Exhausted => {
-                    if let Some(page) = self.read_bypass(pid, &slot)? {
+                    if let Some(page) = self.read_bypass(pid, slot)? {
                         StoreStats::bump(&self.stats.cache_misses);
                         StoreStats::bump(&self.stats.pool_bypasses);
                         return Ok(PageRef {
@@ -1422,7 +1456,7 @@ impl PageStore {
         };
         // A freed page's frame is discarded before the pid can be
         // reallocated; surface the free instead of serving garbage.
-        if !*self.slot(pid)?.latch() {
+        if !self.slot(pid)?.is_allocated() {
             return Err(StoreError::PageFreed(pid));
         }
         StoreStats::bump(&self.stats.gets);
@@ -1461,7 +1495,7 @@ impl PageStore {
     fn load_frame(
         &self,
         pid: PageId,
-        slot: &Arc<Slot>,
+        slot: &Slot,
         frame: &Frame,
         idx: usize,
         flush: Option<PageId>,
@@ -1542,7 +1576,7 @@ impl PageStore {
     /// `Ok(None)` when the page turned out to be pool-resident after all
     /// (a racing loader mapped it — its frame may hold newer bytes than the
     /// backend, so the caller must go through the pool).
-    fn read_bypass(&self, pid: PageId, slot: &Arc<Slot>) -> Result<Option<Page>> {
+    fn read_bypass(&self, pid: PageId, slot: &Slot) -> Result<Option<Page>> {
         let mut page = Page::zeroed(self.cfg.page_size);
         let allocated = slot.latch();
         if !*allocated {
@@ -1579,7 +1613,7 @@ impl PageStore {
     fn apply_full_write(&self, pid: PageId, data: &[u8]) -> Result<()> {
         let slot = self.slot(pid)?;
         if self.pool.capacity() == 0 {
-            let done = self.write_bypass(pid, &slot, data)?;
+            let done = self.write_bypass(pid, slot, data)?;
             debug_assert!(done, "a disabled pool cannot race a loader");
             return Ok(());
         }
@@ -1607,7 +1641,7 @@ impl PageStore {
                         frame.unpin();
                         return Err(StoreError::PageFreed(pid));
                     }
-                    let r = self.log_page_write(pid, &slot, data, None).map(|_| ());
+                    let r = self.log_page_write(pid, slot, data, None).map(|_| ());
                     drop(allocated);
                     if let Err(e) = r {
                         drop(guard);
@@ -1643,7 +1677,7 @@ impl PageStore {
                         if !*allocated {
                             Err(StoreError::PageFreed(pid))
                         } else {
-                            self.log_page_write(pid, &slot, data, None).map(|_| ())
+                            self.log_page_write(pid, slot, data, None).map(|_| ())
                         }
                     };
                     if let Err(e) = r {
@@ -1667,7 +1701,7 @@ impl PageStore {
                     return Ok(());
                 }
                 Claim::Exhausted => {
-                    if self.write_bypass(pid, &slot, data)? {
+                    if self.write_bypass(pid, slot, data)? {
                         StoreStats::bump(&self.stats.pool_bypasses);
                         return Ok(());
                     }
@@ -1680,7 +1714,7 @@ impl PageStore {
     /// Direct backend write under the slot latch. Returns `Ok(false)` when
     /// a racing loader mapped the page (the caller must write through the
     /// frame so readers of the frame see the new image).
-    fn write_bypass(&self, pid: PageId, slot: &Arc<Slot>, data: &[u8]) -> Result<bool> {
+    fn write_bypass(&self, pid: PageId, slot: &Slot, data: &[u8]) -> Result<bool> {
         let allocated = slot.latch();
         if !*allocated {
             return Err(StoreError::PageFreed(pid));
@@ -1708,7 +1742,7 @@ impl PageStore {
         let mut attempt = 0u32;
         loop {
             if self.pool.capacity() == 0 {
-                return self.write_page_bypass(pid, &slot, intent);
+                return self.write_page_bypass(pid, slot, intent);
             }
             match self.pool.claim(pid) {
                 Claim::Hit(frame) => {
@@ -1725,7 +1759,7 @@ impl PageStore {
                         }
                         continue;
                     }
-                    if !*slot.latch() {
+                    if !slot.is_allocated() {
                         drop(guard);
                         frame.unpin();
                         return Err(StoreError::PageFreed(pid));
@@ -1811,7 +1845,7 @@ impl PageStore {
                     });
                 }
                 Claim::Exhausted => {
-                    return self.write_page_bypass(pid, &slot, intent);
+                    return self.write_page_bypass(pid, slot, intent);
                 }
             }
         }
@@ -1820,7 +1854,7 @@ impl PageStore {
     fn write_page_bypass(
         &self,
         pid: PageId,
-        slot: &Arc<Slot>,
+        slot: &Slot,
         intent: WriteIntent,
     ) -> Result<PageWrite<'_>> {
         let mut page = Page::zeroed(self.cfg.page_size);
@@ -1832,7 +1866,7 @@ impl PageStore {
                 Some(p) => page = p,
                 None => page.bytes_mut().copy_from_slice(&self.read(pid)?),
             }
-        } else if !*slot.latch() {
+        } else if !slot.is_allocated() {
             return Err(StoreError::PageFreed(pid));
         }
         Ok(PageWrite {
