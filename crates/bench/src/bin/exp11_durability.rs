@@ -11,8 +11,8 @@
 
 use blink_bench::{banner, scale};
 use blink_durable::{create_tree, open_tree, DurableConfig, FsyncPolicy};
-use blink_harness::hist::HistSnapshot;
 use blink_harness::Table;
+use blink_pagestore::HistSnapshot;
 use sagiv_blink::{TreeConfig, UnderflowPolicy};
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -13,10 +13,9 @@
 
 use blink_baselines::ConcurrentIndex;
 use blink_bench::{banner, lehman_yao, sagiv, scale, topdown};
-use blink_harness::hist::{fmt_ns, HistSnapshot};
 use blink_harness::runner::{run_workload, RunConfig};
 use blink_harness::Table;
-use blink_pagestore::StatsSnapshot;
+use blink_pagestore::{fmt_ns, HistSnapshot, StatsSnapshot};
 use blink_workload::{KeyDist, Mix};
 use std::io::Write;
 use std::sync::Arc;

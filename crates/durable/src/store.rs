@@ -526,11 +526,7 @@ impl DurableStore {
         // since the cut are still replayed (idempotently) on recovery, so
         // the map only needs to be current as of some point after the
         // cut.
-        let capacity = self.store.capacity();
-        let mut allocated = vec![false; capacity];
-        for pid in self.store.allocated_pages() {
-            allocated[(pid.to_raw() - 1) as usize] = true;
-        }
+        let allocated = self.store.allocation_map();
         write_meta_atomic(
             &self.cfg.dir,
             &self.cfg.meta_path(),
@@ -820,6 +816,39 @@ mod tests {
 
     fn pid_raw(n: u32) -> PageId {
         PageId::from_raw(n).unwrap()
+    }
+
+    #[test]
+    fn checkpoint_free_map_survives_concurrent_growth() {
+        // The free map used to be sized from `capacity()` and then filled
+        // from `allocated_pages()`: a page grown between the two calls
+        // indexed past the map.
+        const ALLOCS: usize = 8000;
+        let dir = tmpdir("ckpt-growth");
+        {
+            let ds = DurableStore::create(cfg(&dir)).unwrap();
+            std::thread::scope(|s| {
+                let allocators: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            for _ in 0..ALLOCS {
+                                ds.store().alloc().unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                loop {
+                    ds.checkpoint().unwrap();
+                    if allocators.iter().all(|h| h.is_finished()) {
+                        break;
+                    }
+                }
+            });
+            ds.sync().unwrap();
+        }
+        let ds = DurableStore::open(cfg(&dir)).unwrap();
+        assert_eq!(ds.store().live_pages(), 2 * ALLOCS);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

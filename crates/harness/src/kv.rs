@@ -5,9 +5,8 @@
 //! stack — byte values through the record heap, streaming range scans
 //! through the leaf-link cursor — which is what `exp13_kv` measures.
 
-use crate::hist::HistSnapshot;
 use blink_db::Db;
-use blink_pagestore::{SessionStats, StatsSnapshot};
+use blink_pagestore::{HistSnapshot, SessionStats, StatsSnapshot};
 use blink_workload::{KeyDist, KeyPicker};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -9,13 +9,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod hist;
 pub mod kv;
 pub mod linearize;
 pub mod runner;
 pub mod table;
 
-pub use hist::HistSnapshot;
 pub use kv::{run_kv, KvMix, KvRunConfig, KvRunResult};
 pub use linearize::{check_history, Event, EventResult};
 pub use runner::{run_recorded, run_workload, RunConfig, RunResult};

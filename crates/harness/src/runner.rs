@@ -1,10 +1,9 @@
 //! Multi-threaded workload runner over any [`ConcurrentIndex`].
 
-use crate::hist::HistSnapshot;
 use crate::linearize::{Event, EventResult};
 use blink_baselines::ConcurrentIndex;
 use blink_pagestore::stats::StatsSnapshot;
-use blink_pagestore::SessionStats;
+use blink_pagestore::{HistSnapshot, SessionStats};
 use blink_workload::{KeyDist, Mix, OpGenerator, OpKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};

@@ -214,7 +214,8 @@ pub(crate) enum Claim<'a> {
         /// Whether a resident page (clean or dirty) was displaced.
         evicted: bool,
     },
-    /// Every frame is pinned: the caller bypasses the pool for this access.
+    /// Every frame is pinned, or the pool has none: the caller bypasses the
+    /// pool for this access.
     Exhausted,
 }
 
@@ -315,6 +316,9 @@ impl BufferPool {
     /// Looks `pid` up, pinning on a hit, or reserves a frame for it
     /// (possibly choosing a victim). See [`Claim`].
     pub(crate) fn claim(&self, pid: PageId) -> Claim<'_> {
+        if self.capacity == 0 {
+            return Claim::Exhausted;
+        }
         let shard = self.shard(pid);
         let mut st = self.lock_shard(shard);
         if let Some(&i) = st.map.get(&pid) {
@@ -337,9 +341,6 @@ impl BufferPool {
             };
         }
         let n = shard.frames.len();
-        if n == 0 {
-            return Claim::Exhausted;
-        }
         // CLOCK sweep: two full revolutions (the first may only be clearing
         // reference bits) before declaring the pool pinned solid.
         for _ in 0..2 * n {
@@ -389,6 +390,18 @@ impl BufferPool {
             };
         }
         Claim::Exhausted
+    }
+
+    /// Counts an access that went around the pool because [`BufferPool::claim`]
+    /// found every frame pinned, and returns whether it counted. A pool
+    /// without frames counts nothing: there every access goes to the
+    /// backend by design.
+    pub(crate) fn count_bypass(&self) -> bool {
+        if self.capacity == 0 {
+            return false;
+        }
+        StoreStats::bump(&self.stats.pool_bypasses);
+        true
     }
 
     /// Finishes a miss: drops the flushed-out victim's mapping. Returns

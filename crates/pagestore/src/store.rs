@@ -23,6 +23,21 @@
 //! write-back, and the store stays recoverable from the log plus a
 //! checkpoint image even though the backend lags the frames.
 //!
+//! ## One access path
+//!
+//! Every pool access to a page goes through one claim routine,
+//! `claim_frame`: claim the frame → latch it → retry while it is mid-load
+//! or repurposed (`owned_by`) → check the page is allocated → on a miss,
+//! write the dirty victim back and fill the frame. [`PageStore::read`] and
+//! [`PageStore::write_page`] call it, and [`PageStore::put`] is a
+//! [`WriteIntent::Overwrite`] write plus a copy and [`PageWrite::commit`].
+//! A pool without frames (`pool_frames: 0`) answers every claim with
+//! "exhausted", so the pool-disabled case is the bypass case. A resident
+//! frame reaches the backend through one write-back routine,
+//! `write_back_frame`, whether [`PageStore::flush`],
+//! [`PageStore::flush_for_checkpoint`] or the background flusher asks;
+//! an evicted victim is written back by `write_back`.
+//!
 //! ## Lock order
 //!
 //! frame latch → page slot latch (`Slot::latch`) → journal/backend.
@@ -412,14 +427,14 @@ pub enum WriteIntent {
 /// Exclusive in-place write access to a page, from [`PageStore::write_page`].
 ///
 /// The guard holds the frame's write latch, so the mutation is invisible
-/// until [`PageWrite::commit`], which logs the full image to the journal
-/// (write-ahead) and then publishes by marking the frame dirty. Dropping
-/// without committing rolls the page back to its prior contents.
+/// until [`PageWrite::commit`], which logs one WAL record — a delta of the
+/// tracked ranges or a full image — (write-ahead) and then publishes by
+/// marking the frame dirty. Dropping without committing rolls the page
+/// back to its prior contents.
 #[derive(Debug)]
 pub struct PageWrite<'a> {
     store: &'a PageStore,
     pid: PageId,
-    committed: bool,
     /// Byte ranges dirtied through the tracked-write API (`off`, `len`).
     /// Commit coalesces them into a delta record when the gates in
     /// [`PageStore::log_page_write`] pass.
@@ -447,6 +462,22 @@ enum WriteInner<'a> {
     },
     /// Pool exhausted/disabled: private staging buffer, applied on commit.
     Owned(Page),
+}
+
+/// What `PageStore::claim_frame` got for a page.
+enum Access<'a, G> {
+    /// The page's resident frame: pinned, latched, owner and allocation
+    /// checked.
+    Hit(&'a Frame, G),
+    /// A frame claimed for the page: pinned, write-latched and filled, its
+    /// seqlock window open. The caller completes or aborts the miss.
+    Miss {
+        frame: &'a Frame,
+        idx: usize,
+        guard: Audited<RwLockWriteGuard<'a, Box<[u8]>>>,
+    },
+    /// Every frame is pinned, or the pool has none: access the backend.
+    Bypass,
 }
 
 impl PageWrite<'_> {
@@ -524,110 +555,63 @@ impl PageWrite<'_> {
     /// delta when every mutation was tracked and the gates pass, else a
     /// full image; either way the commit point), then publish. On error
     /// the page is left unchanged.
-    pub fn commit(mut self) -> Result<()> {
+    pub fn commit(self) -> Result<()> {
+        StoreStats::bump(&self.store.stats.puts);
+        self.publish()
+    }
+
+    /// [`PageWrite::commit`] without the `puts` count: a bypass commit
+    /// re-routed through the page's frame is still one put.
+    fn publish(mut self) -> Result<()> {
         let store = self.store;
         let pid = self.pid;
-        StoreStats::bump(&store.stats.puts);
-        // Take the state out of `self` so Drop (committed = true) is a
-        // no-op; all cleanup happens explicitly below.
-        self.committed = true;
-        let tracked: Option<Vec<(u32, u32)>> = if self.untracked {
-            None
-        } else {
-            Some(std::mem::take(&mut self.ranges))
+        let tracked = (!self.untracked).then_some(self.ranges.as_slice());
+        let (frame, guard) = match &mut self.inner {
+            WriteInner::Hit { frame, guard, .. } | WriteInner::Miss { frame, guard, .. } => {
+                (*frame, guard.as_mut().expect("live guard"))
+            }
+            // Bypass commits deliberately drop the tracked ranges and log a
+            // full image: an Owned staging buffer is not covered by the
+            // frame write latch, so two same-page bypass writers can
+            // interleave — last-writer-wins is only sound for whole images,
+            // never for merged delta chains. (Delta logging therefore needs
+            // the buffer pool; `pool_frames: 0` stores log every write as a
+            // v1 full image.)
+            WriteInner::Owned(page) => return store.commit_bypass(pid, page.bytes()),
         };
-        let inner = std::mem::replace(&mut self.inner, WriteInner::Owned(Page::zeroed(0)));
-        match inner {
-            WriteInner::Hit {
-                frame,
-                mut guard,
-                undo,
-            } => {
-                let slot = store.slot(pid)?;
-                let r = {
-                    let bytes = guard.as_ref().expect("live guard");
-                    let allocated = slot.latch();
-                    if !*allocated {
-                        Err(StoreError::PageFreed(pid))
-                    } else {
-                        store.log_page_write(pid, slot, bytes, tracked.as_deref())
-                    }
-                };
-                match r {
-                    Ok(lsn) => {
-                        if let Some(lsn) = lsn {
-                            set_page_lsn(guard.as_mut().expect("live guard"), lsn);
-                        }
-                        frame.end_write();
-                        store.pool.mark_dirty(frame);
-                        drop(guard);
-                        frame.unpin();
-                        Ok(())
-                    }
-                    Err(e) => {
-                        guard.as_mut().expect("live guard").copy_from_slice(&undo);
-                        frame.end_write();
-                        drop(guard);
-                        frame.unpin();
-                        Err(e)
-                    }
-                }
+        // On an error `self` drops here, and `Drop` rolls the page back.
+        let lsn = store.slot(pid).and_then(|slot| {
+            let allocated = slot.latch();
+            if !*allocated {
+                return Err(StoreError::PageFreed(pid));
             }
-            WriteInner::Miss {
-                frame,
-                idx,
-                mut guard,
-            } => {
-                let slot = store.slot(pid)?;
-                let r = {
-                    let bytes = guard.as_ref().expect("live guard");
-                    let allocated = slot.latch();
-                    if !*allocated {
-                        Err(StoreError::PageFreed(pid))
-                    } else {
-                        store.log_page_write(pid, slot, bytes, tracked.as_deref())
-                    }
-                };
-                match r {
-                    Ok(lsn) => {
-                        if let Some(lsn) = lsn {
-                            set_page_lsn(guard.as_mut().expect("live guard"), lsn);
-                        }
-                        frame.end_write();
-                        store.pool.mark_dirty(frame);
-                        frame
-                            .owner
-                            .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
-                        drop(guard);
-                        store.pool.complete_miss(pid, idx);
-                        frame.unpin();
-                        Ok(())
-                    }
-                    Err(e) => {
-                        frame.end_write();
-                        drop(guard);
-                        store.pool.abort_miss(pid, idx); // unpins
-                        Err(e)
-                    }
-                }
-            }
-            // Bypass/pool-exhausted commits deliberately drop the tracked
-            // ranges and log a full image: an Owned staging buffer is not
-            // covered by the frame write latch, so two same-page bypass
-            // writers can interleave — last-writer-wins is only sound for
-            // whole images, never for merged delta chains. (Delta logging
-            // therefore needs the buffer pool; `pool_frames: 0` stores
-            // log every write as a v1 full image.)
-            WriteInner::Owned(page) => store.apply_full_write(pid, page.bytes()),
+            store.log_page_write(pid, slot, guard, tracked)
+        })?;
+        if let Some(lsn) = lsn {
+            set_page_lsn(guard, lsn);
         }
+        frame.end_write();
+        store.pool.mark_dirty(frame);
+        // Published: release the frame without the rollback `Drop` does.
+        match std::mem::replace(&mut self.inner, WriteInner::Owned(Page::zeroed(0))) {
+            WriteInner::Hit { frame, guard, .. } => {
+                drop(guard);
+                frame.unpin();
+            }
+            WriteInner::Miss { frame, idx, guard } => {
+                frame.owner.store(pid.to_raw(), Ordering::Release);
+                drop(guard);
+                store.pool.complete_miss(pid, idx);
+                frame.unpin();
+            }
+            WriteInner::Owned(_) => unreachable!("bypass commits returned above"),
+        }
+        Ok(())
     }
 }
 
 impl Drop for PageWrite<'_> {
     fn drop(&mut self) {
-        if self.committed {
-            return; // commit() already consumed the state
-        }
         match &mut self.inner {
             WriteInner::Hit { frame, guard, undo } => {
                 if let Some(mut g) = guard.take() {
@@ -836,36 +820,47 @@ impl PageStore {
         if self.pool.dirty_count() == 0 {
             return Ok(());
         }
+        self.write_back_frames(self.pool.pin_dirty())
+    }
+
+    /// Writes each pinned frame back (see `write_back_frame`) and returns
+    /// the first error after trying them all.
+    fn write_back_frames(&self, frames: Vec<(&Frame, PageId)>) -> Result<()> {
         let mut first_err = None;
-        for (frame, pid) in self.pool.pin_dirty() {
-            let r = (|| -> Result<()> {
-                let guard = self.latch_read(frame);
-                let slot = self.slot(pid)?;
-                let allocated = slot.latch();
-                // Claim the dirty bit before writing: a concurrent put needs
-                // the frame's write latch (blocked by `guard`), so nothing
-                // can re-dirty the bytes mid-write.
-                if *allocated && self.pool.clear_dirty(frame) {
-                    self.simulate_io();
-                    if let Err(e) = self.backend_write_page(pid, &guard) {
-                        // The frame bytes are the only up-to-date copy;
-                        // re-dirty so a later flush retries the write-back.
-                        self.pool.mark_dirty(frame);
-                        return Err(e);
-                    }
-                    StoreStats::bump(&self.stats.dirty_writebacks);
-                }
-                Ok(())
-            })();
-            frame.unpin();
-            if let Err(e) = r {
+        for (frame, pid) in frames {
+            if let Err(e) = self.write_back_frame(frame, pid) {
                 first_err.get_or_insert(e);
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// The one write-back routine for a resident frame, behind `flush`,
+    /// `flush_for_checkpoint` and the background flusher: writes the pinned
+    /// `frame` back when `pid` is still allocated, the frame still holds
+    /// `pid`, and this caller wins its dirty bit — then unpins it. Returns
+    /// whether it wrote. The check runs under the frame's read latch (a
+    /// writer needs the write latch, so nothing re-dirties the bytes
+    /// mid-write) and `pid`'s slot latch. A failed write re-dirties the
+    /// frame: its bytes are the only up-to-date copy.
+    fn write_back_frame(&self, frame: &Frame, pid: PageId) -> Result<bool> {
+        let r = (|| -> Result<bool> {
+            let guard = self.latch_read(frame);
+            let slot = self.slot(pid)?;
+            let allocated = slot.latch();
+            if !(*allocated && frame.owned_by(pid) && self.pool.clear_dirty(frame)) {
+                return Ok(false);
+            }
+            self.simulate_io();
+            if let Err(e) = self.backend_write_page(pid, &guard) {
+                self.pool.mark_dirty(frame);
+                return Err(e);
+            }
+            StoreStats::bump(&self.stats.dirty_writebacks);
+            Ok(true)
+        })();
+        frame.unpin();
+        r
     }
 
     /// Flushes the journal (regardless of fsync policy), writes all dirty
@@ -906,30 +901,7 @@ impl PageStore {
             j.sync()?;
         }
         self.publish_journal()?;
-        let mut first_err = None;
-        for (frame, pid) in self.pool.pin_resident_all() {
-            let r = (|| -> Result<()> {
-                let guard = self.latch_read(frame);
-                let slot = self.slot(pid)?;
-                let allocated = slot.latch();
-                if *allocated && frame.owned_by(pid) && self.pool.clear_dirty(frame) {
-                    self.simulate_io();
-                    if let Err(e) = self.backend_write_page(pid, &guard) {
-                        self.pool.mark_dirty(frame);
-                        return Err(e);
-                    }
-                    StoreStats::bump(&self.stats.dirty_writebacks);
-                }
-                Ok(())
-            })();
-            frame.unpin();
-            if let Err(e) = r {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        self.write_back_frames(self.pool.pin_resident_all())?;
         // Bypass-writer barrier (wait 2 above).
         for slot in self.slots.iter() {
             drop(slot.latch());
@@ -969,25 +941,12 @@ impl PageStore {
         }
         let mut wrote = false;
         for (frame, pid) in self.pool.pin_dirty_batch(count - low) {
-            let r = (|| -> Result<bool> {
-                let guard = self.latch_read(frame);
-                let slot = self.slot(pid)?;
-                let allocated = slot.latch();
-                if *allocated && frame.owned_by(pid) && self.pool.clear_dirty(frame) {
-                    self.simulate_io();
-                    if let Err(e) = self.backend_write_page(pid, &guard) {
-                        // The frame bytes are the only up-to-date copy.
-                        self.pool.mark_dirty(frame);
-                        return Err(e);
-                    }
-                    StoreStats::bump(&self.stats.dirty_writebacks);
+            match self.write_back_frame(frame, pid) {
+                Ok(true) => {
                     StoreStats::bump(&self.stats.flusher_pages_written);
-                    return Ok(true);
+                    wrote = true;
                 }
-                Ok(false)
-            })();
-            match r {
-                Ok(did_write) => wrote |= did_write,
+                Ok(false) => {}
                 // Background write-back failed with nobody to return to:
                 // latch it so the next foreground op fails loudly instead
                 // of the store limping along with an undrainable pool.
@@ -996,7 +955,6 @@ impl PageStore {
                     self.health.flag(e);
                 }
             }
-            frame.unpin();
         }
         wrote
     }
@@ -1029,14 +987,21 @@ impl PageStore {
         self.capacity() - self.lock_free().len()
     }
 
+    /// The allocation state of every slot, `map[i]` for page `i + 1`, from
+    /// one sweep of the slot table: its length and contents agree even
+    /// while `alloc` grows the table (a checkpoint's free map).
+    pub fn allocation_map(&self) -> Vec<bool> {
+        // Latched reads: an allocation or free in flight is waited out.
+        self.slots.iter().map(|s| *s.latch()).collect()
+    }
+
     /// Ids of all currently allocated pages, ascending. For recovery
     /// (garbage collection, checkpointing) on a quiesced store.
     pub fn allocated_pages(&self) -> Vec<PageId> {
-        // Latched reads: an allocation or free in flight is waited out.
-        self.slots
-            .iter()
+        self.allocation_map()
+            .into_iter()
             .enumerate()
-            .filter(|(_, s)| *s.latch())
+            .filter(|&(_, allocated)| allocated)
             .map(|(i, _)| PageId::from_index(i))
             .collect()
     }
@@ -1338,85 +1303,44 @@ impl PageStore {
         self.check_health()?;
         let slot = self.slot(pid)?;
         StoreStats::bump(&self.stats.gets);
-        if self.pool.capacity() == 0 {
-            let page = self
-                .read_bypass(pid, slot)?
-                .expect("a disabled pool cannot race a loader");
-            return Ok(PageRef {
-                inner: RefInner::Owned(page),
-            });
-        }
-        let mut attempt = 0u32;
         loop {
-            match self.pool.claim(pid) {
-                Claim::Hit(frame) => {
-                    StoreStats::bump(&self.stats.pins);
-                    let guard = self.latch_read(frame);
-                    if !frame.owned_by(pid) {
-                        // The frame is mid-load or was repurposed between the
-                        // map lookup and the latch; the responsible party is
-                        // making progress — retry the claim.
-                        drop(guard);
-                        frame.unpin();
-                        attempt += 1;
-                        if attempt > 32 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        continue;
-                    }
-                    if !slot.is_allocated() {
-                        drop(guard);
-                        frame.unpin();
-                        return Err(StoreError::PageFreed(pid));
-                    }
+            let (frame, guard) = match self.claim_frame(pid, slot, true, |f| self.latch_read(f))? {
+                Access::Hit(frame, guard) => {
                     StoreStats::bump(&self.stats.cache_hits);
-                    audit::classify_frame(frame.audit_addr(), &guard);
-                    return Ok(PageRef {
-                        inner: RefInner::Frame {
-                            frame,
-                            guard: Some(guard),
-                        },
-                    });
+                    (frame, guard)
                 }
-                Claim::Miss {
-                    frame,
-                    idx,
-                    flush,
-                    evicted,
-                } => {
-                    StoreStats::bump(&self.stats.pins);
+                Access::Miss { frame, idx, guard } => {
                     StoreStats::bump(&self.stats.cache_misses);
-                    if evicted {
-                        StoreStats::bump(&self.stats.frames_evicted);
-                    }
-                    self.load_frame(pid, slot, frame, idx, flush)?;
+                    frame.end_write();
+                    frame.owner.store(pid.to_raw(), Ordering::Release);
+                    drop(guard);
                     self.pool.complete_miss(pid, idx);
                     // Our pin keeps the frame ours; a put may slip in between
                     // latch drops, but then the guard just sees newer bytes.
                     let guard = self.latch_read(frame);
                     audit::classify_frame(frame.audit_addr(), &guard);
-                    return Ok(PageRef {
-                        inner: RefInner::Frame {
-                            frame,
-                            guard: Some(guard),
-                        },
-                    });
+                    (frame, guard)
                 }
-                Claim::Exhausted => {
-                    if let Some(page) = self.read_bypass(pid, slot)? {
-                        StoreStats::bump(&self.stats.cache_misses);
-                        StoreStats::bump(&self.stats.pool_bypasses);
+                Access::Bypass => match self.read_bypass(pid, slot)? {
+                    Some(page) => {
+                        if self.pool.count_bypass() {
+                            StoreStats::bump(&self.stats.cache_misses);
+                        }
                         return Ok(PageRef {
                             inner: RefInner::Owned(page),
                         });
                     }
                     // A loader mapped the page while we were deciding to
                     // bypass; take the frame route instead.
-                    continue;
-                }
-            }
+                    None => continue,
+                },
+            };
+            return Ok(PageRef {
+                inner: RefInner::Frame {
+                    frame,
+                    guard: Some(guard),
+                },
+            });
         }
     }
 
@@ -1487,47 +1411,95 @@ impl PageStore {
         frame.version_is(stamp.version) && frame.owned_by(pid)
     }
 
-    /// Populates a freshly claimed frame: writes the dirty victim back (its
-    /// WAL record predates its dirty bit — write-ahead holds), then reads
-    /// `pid` under its slot latch. Publishes `owner` on success. Rolls the
-    /// claim back itself on every error path — the caller must not call
-    /// `abort_miss` again.
-    fn load_frame(
-        &self,
+    /// The one claim routine behind [`PageStore::read`] and
+    /// [`PageStore::write_page`]. Claims `pid`'s frame and pins it:
+    ///
+    /// * **hit** — latches the frame with `latch`, retries the claim while
+    ///   the frame is mid-load or repurposed (`owned_by`), and checks that
+    ///   the page is allocated;
+    /// * **miss** — write-latches the claimed frame, writes its dirty victim
+    ///   back, then fills it under `pid`'s slot latch (which checks the page
+    ///   is allocated): read from the backend when `load`, else zeroed.
+    ///   The fill opens the frame's seqlock window; the caller closes it
+    ///   and completes the miss. On every error the claim is rolled back
+    ///   here;
+    /// * **bypass** — every frame is pinned, or the pool has none.
+    fn claim_frame<'a, G>(
+        &'a self,
         pid: PageId,
         slot: &Slot,
-        frame: &Frame,
-        idx: usize,
-        flush: Option<PageId>,
-    ) -> Result<()> {
-        let mut buf = self.latch_write(frame);
-        if let Err(e) = self.flush_victim(pid, frame, idx, flush, &buf) {
-            drop(buf);
-            return Err(e);
-        }
-        let r = {
-            let allocated = slot.latch();
-            if !*allocated {
-                Err(StoreError::PageFreed(pid))
-            } else {
-                self.simulate_io();
-                frame.begin_write();
-                let r = self.backend_read_page(pid, &mut buf);
-                frame.end_write();
-                r
+        load: bool,
+        latch: impl Fn(&'a Frame) -> G,
+    ) -> Result<Access<'a, G>>
+    where
+        G: Deref<Target = Box<[u8]>>,
+    {
+        let mut attempt = 0u32;
+        loop {
+            let (frame, idx, flush, evicted) = match self.pool.claim(pid) {
+                Claim::Hit(frame) => {
+                    StoreStats::bump(&self.stats.pins);
+                    let guard = latch(frame);
+                    if !frame.owned_by(pid) {
+                        // The frame is mid-load or was repurposed between
+                        // the map lookup and the latch; the responsible
+                        // party is making progress — retry the claim.
+                        drop(guard);
+                        frame.unpin();
+                        attempt += 1;
+                        if attempt > 32 {
+                            std::thread::yield_now();
+                        } else {
+                            std::hint::spin_loop();
+                        }
+                        continue;
+                    }
+                    if !slot.is_allocated() {
+                        drop(guard);
+                        frame.unpin();
+                        return Err(StoreError::PageFreed(pid));
+                    }
+                    audit::classify_frame(frame.audit_addr(), &guard);
+                    return Ok(Access::Hit(frame, guard));
+                }
+                Claim::Miss {
+                    frame,
+                    idx,
+                    flush,
+                    evicted,
+                } => (frame, idx, flush, evicted),
+                Claim::Exhausted => return Ok(Access::Bypass),
+            };
+            StoreStats::bump(&self.stats.pins);
+            if evicted {
+                StoreStats::bump(&self.stats.frames_evicted);
             }
-        };
-        if let Err(e) = r {
-            drop(buf);
-            self.pool.abort_miss(pid, idx);
-            return Err(e);
+            let mut guard = self.latch_write(frame);
+            self.flush_victim(pid, frame, idx, flush, &guard)?;
+            frame.begin_write();
+            let r = {
+                let allocated = slot.latch();
+                if !*allocated {
+                    Err(StoreError::PageFreed(pid))
+                } else if load {
+                    self.simulate_io();
+                    self.backend_read_page(pid, &mut guard)
+                } else {
+                    // A full overwrite needs no backend read.
+                    guard.fill(0);
+                    Ok(())
+                }
+            };
+            if let Err(e) = r {
+                frame.end_write();
+                drop(guard);
+                self.pool.abort_miss(pid, idx);
+                return Err(e);
+            }
+            self.pool.clear_dirty(frame);
+            audit::classify_frame(frame.audit_addr(), &guard);
+            return Ok(Access::Miss { frame, idx, guard });
         }
-        self.pool.clear_dirty(frame);
-        frame
-            .owner
-            .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
-        audit::classify_frame(frame.audit_addr(), &buf);
-        Ok(())
     }
 
     /// Writes a freshly claimed frame's dirty victim back and clears the
@@ -1590,125 +1562,34 @@ impl PageStore {
         Ok(Some(page))
     }
 
-    /// §2.2 `put(A, x)`: overwrites the page with the buffer's contents.
-    /// With a journal attached the full page image is logged (and committed
-    /// per the fsync policy) before anything changes — write-ahead order.
-    /// The new image lands in the page's frame (write-back); it reaches the
-    /// backend on eviction or [`PageStore::sync`].
+    /// §2.2 `put(A, x)`: overwrites the page with the buffer's contents —
+    /// a [`WriteIntent::Overwrite`] write of the whole image, so a journal
+    /// logs it as one full-image record (committed per the fsync policy)
+    /// before anything changes. The new image lands in the page's frame
+    /// (write-back); it reaches the backend on eviction or
+    /// [`PageStore::sync`].
     pub fn put(&self, pid: PageId, page: &Page) -> Result<()> {
-        self.check_health()?;
         if page.len() != self.cfg.page_size {
             return Err(StoreError::PageSizeMismatch {
                 got: page.len(),
                 want: self.cfg.page_size,
             });
         }
-        StoreStats::bump(&self.stats.puts);
-        self.apply_full_write(pid, page.bytes())
+        let mut w = self.write_page(pid, WriteIntent::Overwrite)?;
+        w.bytes_mut().copy_from_slice(page.bytes());
+        w.commit()
     }
 
-    /// Installs a complete page image: via the page's frame when possible
-    /// (logging before the frame copy, so a journal error leaves the frame
-    /// untouched), else directly to the backend under the slot latch.
-    fn apply_full_write(&self, pid: PageId, data: &[u8]) -> Result<()> {
-        let slot = self.slot(pid)?;
-        if self.pool.capacity() == 0 {
-            let done = self.write_bypass(pid, slot, data)?;
-            debug_assert!(done, "a disabled pool cannot race a loader");
+    /// Commits a bypass write: straight to the backend under the slot
+    /// latch, or — when a loader mapped the page since the write opened,
+    /// so readers may be on its frame — through that frame.
+    fn commit_bypass(&self, pid: PageId, data: &[u8]) -> Result<()> {
+        if self.write_bypass(pid, self.slot(pid)?, data)? {
             return Ok(());
         }
-        let mut attempt = 0u32;
-        loop {
-            match self.pool.claim(pid) {
-                Claim::Hit(frame) => {
-                    StoreStats::bump(&self.stats.pins);
-                    let mut guard = self.latch_write(frame);
-                    if !frame.owned_by(pid) {
-                        drop(guard);
-                        frame.unpin();
-                        attempt += 1;
-                        if attempt > 32 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        continue;
-                    }
-                    let allocated = slot.latch();
-                    if !*allocated {
-                        drop(allocated);
-                        drop(guard);
-                        frame.unpin();
-                        return Err(StoreError::PageFreed(pid));
-                    }
-                    let r = self.log_page_write(pid, slot, data, None).map(|_| ());
-                    drop(allocated);
-                    if let Err(e) = r {
-                        drop(guard);
-                        frame.unpin();
-                        return Err(e);
-                    }
-                    audit::classify_frame(frame.audit_addr(), data);
-                    frame.begin_write();
-                    guard.copy_from_slice(data);
-                    frame.end_write();
-                    self.pool.mark_dirty(frame);
-                    drop(guard);
-                    frame.unpin();
-                    return Ok(());
-                }
-                Claim::Miss {
-                    frame,
-                    idx,
-                    flush,
-                    evicted,
-                } => {
-                    StoreStats::bump(&self.stats.pins);
-                    if evicted {
-                        StoreStats::bump(&self.stats.frames_evicted);
-                    }
-                    let mut guard = self.latch_write(frame);
-                    if let Err(e) = self.flush_victim(pid, frame, idx, flush, &guard) {
-                        drop(guard);
-                        return Err(e);
-                    }
-                    let r = {
-                        let allocated = slot.latch();
-                        if !*allocated {
-                            Err(StoreError::PageFreed(pid))
-                        } else {
-                            self.log_page_write(pid, slot, data, None).map(|_| ())
-                        }
-                    };
-                    if let Err(e) = r {
-                        drop(guard);
-                        self.pool.abort_miss(pid, idx);
-                        return Err(e);
-                    }
-                    // A full overwrite needs no backend read: the frame
-                    // image *is* the page now.
-                    audit::classify_frame(frame.audit_addr(), data);
-                    frame.begin_write();
-                    guard.copy_from_slice(data);
-                    frame.end_write();
-                    self.pool.mark_dirty(frame);
-                    frame
-                        .owner
-                        .store(pid.to_raw(), std::sync::atomic::Ordering::Release);
-                    drop(guard);
-                    self.pool.complete_miss(pid, idx);
-                    frame.unpin();
-                    return Ok(());
-                }
-                Claim::Exhausted => {
-                    if self.write_bypass(pid, slot, data)? {
-                        StoreStats::bump(&self.stats.pool_bypasses);
-                        return Ok(());
-                    }
-                    continue; // a loader mapped it; use the frame route
-                }
-            }
-        }
+        let mut w = self.write_page(pid, WriteIntent::Overwrite)?;
+        w.bytes_mut().copy_from_slice(data);
+        w.publish()
     }
 
     /// Direct backend write under the slot latch. Returns `Ok(false)` when
@@ -1739,143 +1620,53 @@ impl PageStore {
     pub fn write_page(&self, pid: PageId, intent: WriteIntent) -> Result<PageWrite<'_>> {
         self.check_health()?;
         let slot = self.slot(pid)?;
-        let mut attempt = 0u32;
-        loop {
-            if self.pool.capacity() == 0 {
-                return self.write_page_bypass(pid, slot, intent);
-            }
-            match self.pool.claim(pid) {
-                Claim::Hit(frame) => {
-                    StoreStats::bump(&self.stats.pins);
-                    let mut guard = self.latch_write(frame);
-                    if !frame.owned_by(pid) {
-                        drop(guard);
-                        frame.unpin();
-                        attempt += 1;
-                        if attempt > 32 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                        continue;
-                    }
-                    if !slot.is_allocated() {
-                        drop(guard);
-                        frame.unpin();
-                        return Err(StoreError::PageFreed(pid));
-                    }
-                    audit::classify_frame(frame.audit_addr(), &guard);
-                    let undo = guard.to_vec().into_boxed_slice();
-                    // Seqlock window: open before the first byte changes;
-                    // commit/rollback closes it (the caller mutates the
-                    // frame through the guard until then).
-                    frame.begin_write();
-                    if intent == WriteIntent::Overwrite {
-                        guard.fill(0);
-                    }
-                    return Ok(PageWrite {
-                        store: self,
-                        pid,
-                        committed: false,
-                        ranges: Vec::new(),
-                        // Overwrite pre-zeroed every byte outside the
-                        // tracker: only a full image can log it.
-                        untracked: intent == WriteIntent::Overwrite,
-                        inner: WriteInner::Hit {
-                            frame,
-                            guard: Some(guard),
-                            undo,
-                        },
-                    });
+        let overwrite = intent == WriteIntent::Overwrite;
+        let inner = match self.claim_frame(pid, slot, !overwrite, |f| self.latch_write(f))? {
+            Access::Hit(frame, mut guard) => {
+                let undo = guard.to_vec().into_boxed_slice();
+                // Seqlock window: open before the first byte changes;
+                // commit/rollback closes it (the caller mutates the frame
+                // through the guard until then).
+                frame.begin_write();
+                if overwrite {
+                    guard.fill(0);
                 }
-                Claim::Miss {
+                WriteInner::Hit {
                     frame,
-                    idx,
-                    flush,
-                    evicted,
-                } => {
-                    StoreStats::bump(&self.stats.pins);
-                    if evicted {
-                        StoreStats::bump(&self.stats.frames_evicted);
-                    }
-                    let mut guard = self.latch_write(frame);
-                    if let Err(e) = self.flush_victim(pid, frame, idx, flush, &guard) {
-                        drop(guard);
-                        return Err(e);
-                    }
-                    // Seqlock window: open before the first byte changes;
-                    // commit/rollback closes it.
-                    frame.begin_write();
-                    let r = {
-                        let allocated = slot.latch();
-                        if !*allocated {
-                            Err(StoreError::PageFreed(pid))
-                        } else {
-                            match intent {
-                                WriteIntent::Update => {
-                                    self.simulate_io();
-                                    self.backend_read_page(pid, &mut guard)
-                                }
-                                WriteIntent::Overwrite => {
-                                    guard.fill(0);
-                                    Ok(())
-                                }
-                            }
-                        }
-                    };
-                    if let Err(e) = r {
-                        frame.end_write();
-                        drop(guard);
-                        self.pool.abort_miss(pid, idx);
-                        return Err(e);
-                    }
-                    self.pool.clear_dirty(frame);
-                    audit::classify_frame(frame.audit_addr(), &guard);
-                    return Ok(PageWrite {
-                        store: self,
-                        pid,
-                        committed: false,
-                        ranges: Vec::new(),
-                        untracked: intent == WriteIntent::Overwrite,
-                        inner: WriteInner::Miss {
-                            frame,
-                            idx,
-                            guard: Some(guard),
-                        },
-                    });
-                }
-                Claim::Exhausted => {
-                    return self.write_page_bypass(pid, slot, intent);
+                    guard: Some(guard),
+                    undo,
                 }
             }
-        }
-    }
-
-    fn write_page_bypass(
-        &self,
-        pid: PageId,
-        slot: &Slot,
-        intent: WriteIntent,
-    ) -> Result<PageWrite<'_>> {
-        let mut page = Page::zeroed(self.cfg.page_size);
-        if intent == WriteIntent::Update {
-            // Current contents; if a loader raced us, read through its frame
-            // (`commit` re-routes through the frame as well, via the
-            // apply-loop's is_mapped recheck).
-            match self.read_bypass(pid, slot)? {
-                Some(p) => page = p,
-                None => page.bytes_mut().copy_from_slice(&self.read(pid)?),
+            // The miss's seqlock window stays open until commit/rollback.
+            Access::Miss { frame, idx, guard } => WriteInner::Miss {
+                frame,
+                idx,
+                guard: Some(guard),
+            },
+            Access::Bypass => {
+                let mut page = Page::zeroed(self.cfg.page_size);
+                if !overwrite {
+                    // Current contents; if a loader raced us, read through
+                    // its frame (the commit re-routes through it as well).
+                    match self.read_bypass(pid, slot)? {
+                        Some(p) => page = p,
+                        None => page.bytes_mut().copy_from_slice(&self.read(pid)?),
+                    }
+                } else if !slot.is_allocated() {
+                    return Err(StoreError::PageFreed(pid));
+                }
+                self.pool.count_bypass();
+                WriteInner::Owned(page)
             }
-        } else if !slot.is_allocated() {
-            return Err(StoreError::PageFreed(pid));
-        }
+        };
         Ok(PageWrite {
             store: self,
             pid,
-            committed: false,
             ranges: Vec::new(),
-            untracked: false,
-            inner: WriteInner::Owned(page),
+            // Overwrite pre-zeroed every byte outside the tracker: only a
+            // full image can log it.
+            untracked: overwrite,
+            inner,
         })
     }
 
@@ -2213,6 +2004,21 @@ mod tests {
             store.get(pid).unwrap();
         }
         assert!(t0.elapsed() >= Duration::from_micros(2000));
+        // Writes round-trip through the backend too, and without frames no
+        // access counts as a pin, a cache miss or a pool bypass.
+        let mut page = Page::zeroed(64);
+        page.bytes_mut().fill(0x42);
+        store.put(pid, &page).unwrap();
+        assert_eq!(store.get(pid).unwrap(), page);
+        let mut w = store.write_page(pid, WriteIntent::Update).unwrap();
+        assert_eq!(w.bytes()[0], 0x42);
+        w.write_at(8, &[0x17; 4]);
+        w.commit().unwrap();
+        let g = store.read(pid).unwrap();
+        assert_eq!((g[7], g[8], g[11], g[12]), (0x42, 0x17, 0x17, 0x42));
+        drop(g);
+        let s = store.stats().snapshot();
+        assert_eq!((s.pins, s.cache_misses, s.pool_bypasses), (0, 0, 0));
     }
 
     #[test]

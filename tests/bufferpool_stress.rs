@@ -175,6 +175,39 @@ fn exhausted_pool_bypasses_instead_of_evicting() {
     drop(gb);
 }
 
+/// A bypass write that a loader overtakes — the page is loaded into a
+/// frame after the write opened its private buffer — commits through that
+/// frame, so later reads see the committed bytes and not the stale frame.
+#[test]
+fn bypass_write_overtaken_by_a_loader_commits_through_the_frame() {
+    let store = PageStore::new(StoreConfig {
+        page_size: 128,
+        io_delay: None,
+        pool_frames: 2,
+    });
+    let a = store.alloc().unwrap();
+    let b = store.alloc().unwrap();
+    let c = store.alloc().unwrap();
+    store.put(c, &patterned(128, 3)).unwrap();
+    store.sync().unwrap(); // c's image must be in the backend for the bypass
+    let ga = store.read(a).unwrap();
+    let gb = store.read(b).unwrap();
+    // Both frames pinned: the write gets a private buffer.
+    let mut w = store.write_page(c, WriteIntent::Update).unwrap();
+    assert!(w.bytes().iter().all(|&x| x == 3));
+    assert!(store.stats().snapshot().pool_bypasses >= 1);
+    // A reader loads c into the frame b gave up, with the old image.
+    drop(gb);
+    assert!(store.read(c).unwrap().iter().all(|&x| x == 3));
+    w.bytes_mut().fill(4);
+    w.commit().unwrap();
+    assert!(
+        store.read(c).unwrap().iter().all(|&x| x == 4),
+        "a read after the commit must not serve the stale frame"
+    );
+    drop(ga);
+}
+
 // ----------------------------------------------------------------------
 // Write-ahead order: dirty victims hit the WAL before the backend.
 // ----------------------------------------------------------------------
